@@ -3,6 +3,10 @@
 Errors split into three CLI-visible classes: invalid input / precondition
 failures (exit 2), exhausted search or closure budgets (exit 3), and check
 failures, which are reported in results rather than raised (exit 1).
+A broken internal invariant that a result depends on, such as a closure map
+leaving its exact universe (``ClosureInvariantViolated``), is a typed error
+rather than an ``assert``, so it also fires under ``python -O``; the CLI
+reports it with exit 2.
 """
 
 
@@ -66,6 +70,10 @@ class UniverseTooLarge(KGraphError):
 
 class FixpointBudgetExceeded(KGraphError):
     """Satiation fixpoint iteration exceeded its budget."""
+
+
+class ClosureInvariantViolated(KGraphError):
+    """A closure map produced a family outside the universe it must stay in."""
 
 
 class InexactUniverse(KGraphError):

@@ -7,6 +7,12 @@ sigma4 . sigma3 . sigma2 . sigma1 over a finite universe of candidate
 families; results are exact when the universe is the full finite-exhaustive
 universe of an acyclic graph, and windowed (three-valued membership)
 otherwise.
+
+The fixpoint is evaluated semi-naively: sigma1-sigma3 map each family on
+its own, so each round applies them only to the families that are new since
+the previous round, while sigma4, whose pools come from the whole
+collection, makes a full pass.  Truncations are built once per member
+prefix and yielded once per distinct family.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from typing import Iterable
 from .degree import Degree
 from .errors import (
     BudgetExceeded,
+    ClosureInvariantViolated,
     FixpointBudgetExceeded,
     UniverseTooLarge,
 )
@@ -207,21 +214,25 @@ def _check_family(collection: FamilyCollection, fam: PathFamily) -> PathFamily |
     """Re-verify that a closure map produced an exhaustive universe family.
 
     The universe was materialized by checking exhaustiveness of every
-    candidate subset, so membership is the verification; an in-window miss
-    means the map produced a non-exhaustive family, contradicting the
-    supporting closure lemmas.  On windowed universes the maps may escape
-    the window (graftings add degrees); those families are dropped, keeping
-    the windowed satiation an under-approximation.
+    candidate subset, so membership is the verification; a miss inside the
+    window, or any miss on an exact universe, means the map produced a
+    non-exhaustive family, contradicting the supporting closure lemmas.  On
+    windowed universes the maps may escape the window (graftings add
+    degrees); those families are dropped, keeping the windowed satiation an
+    under-approximation.
     """
     if fam in collection.universe_set(fam.vertex):
         return fam
     if collection.in_window(fam):
         verdict = is_exhaustive(fam)
-        raise AssertionError(
+        raise ClosureInvariantViolated(
             f"closure map produced {fam!r} inside the window but outside the "
             f"universe (exhaustive={verdict.status.value})"
         )
-    assert not collection.exact, "exact universes contain every closure output"
+    if collection.exact:
+        raise ClosureInvariantViolated(
+            f"closure map produced {fam!r} outside the exact universe"
+        )
     return None
 
 
@@ -232,8 +243,15 @@ def _window_mus(collection: FamilyCollection, fam: PathFamily):
             yield mu
 
 
-def _truncation_choices(fam: PathFamily, budget: int | None = None):
-    """All choice vectors 0 < n_lam <= d(lam) over the members."""
+def _truncations(fam: PathFamily, budget: int | None = None):
+    """The distinct families {lam(0, n_lam)} over choices 0 < n_lam <= d(lam).
+
+    Each prefix lam(0, n) is cut once (prefixes of one member differ in
+    degree, so they are distinct) and numbered; the product runs over the
+    numbers, and each distinct family is yielded once, in the order of its
+    first choice vector.  The budget counts choice vectors and is checked
+    before any prefix is cut.
+    """
     members = fam.sorted_members()
     per_member = [
         [n for n in p.degree.below() if not n.is_zero()] for p in members
@@ -245,35 +263,40 @@ def _truncation_choices(fam: PathFamily, budget: int | None = None):
         raise UniverseTooLarge(
             f"{count} truncation vectors for {fam!r} exceed the budget {budget}"
         )
-    for choice in itertools.product(*per_member):
-        yield tuple(zip(members, choice))
-
-
-def _truncate(fam: PathFamily, choice) -> PathFamily:
     zero = Degree.zero(fam.graph.rank)
-    cut = {segment(p, zero, n) for p, n in choice}
-    return PathFamily(fam.graph, fam.vertex, cut)
+    index: dict[Path, int] = {}
+    options = [
+        [index.setdefault(segment(p, zero, n), len(index)) for n in opts]
+        for p, opts in zip(members, per_member)
+    ]
+    prefixes = list(index)
+    seen: set[frozenset] = set()
+    for choice in itertools.product(*options):
+        cut = frozenset(choice)
+        if cut not in seen:
+            seen.add(cut)
+            yield PathFamily(fam.graph, fam.vertex, [prefixes[i] for i in cut])
 
 
 def _graftings(collection: FamilyCollection, fam: PathFamily, budget: int | None = None):
     """All (E \\ F) u U_{lam in F} lam.F_lam with F_lam drawn from members."""
-    members = fam.sorted_members()
+    pools = {p: collection.at(p.source) for p in fam.sorted_members()}
+    graftable = [p for p, pool in pools.items() if pool]
     produced = 0
-    for r in range(len(members) + 1):
-        for subset in itertools.combinations(members, r):
-            pools = [collection.at(p.source) for p in subset]
-            if any(not pool for pool in pools):
-                continue
+    for r in range(len(graftable) + 1):
+        for subset in itertools.combinations(graftable, r):
+            subset_pools = [pools[p] for p in subset]
             count = 1
-            for pool in pools:
+            for pool in subset_pools:
                 count *= len(pool)
             produced += count
             if budget is not None and produced > budget:
                 raise UniverseTooLarge(
                     f"grafting enumeration for {fam!r} exceeds the budget {budget}"
                 )
-            for assignment in itertools.product(*pools):
-                grafted = set(fam.members) - set(subset)
+            kept = fam.members.difference(subset)
+            for assignment in itertools.product(*subset_pools):
+                grafted = set(kept)
                 for lam, sub in zip(subset, assignment):
                     grafted.update(compose(lam, q) for q in sub.members)
                 yield PathFamily(fam.graph, fam.vertex, grafted)
@@ -284,31 +307,47 @@ def _add(out: set, fam: PathFamily | None) -> None:
         out.add(fam)
 
 
-def sigma1(collection: FamilyCollection) -> FamilyCollection:
-    """All universe families containing some member (finite supersets)."""
+def sigma1(
+    collection: FamilyCollection, only: Iterable[PathFamily] | None = None
+) -> FamilyCollection:
+    """All universe families containing some member (finite supersets).
+
+    ``only`` restricts the members mapped; the result still keeps every
+    member of the collection.
+    """
     out = set(collection.members)
-    for fam in collection.members:
+    for fam in collection.members if only is None else only:
         for cand in collection.universe(fam.vertex):
             if fam.members <= cand.members:
                 _add(out, _check_family(collection, cand))
     return collection.with_members(out)
 
 
-def sigma2(collection: FamilyCollection) -> FamilyCollection:
-    """Extension transport: Ext(mu; E) for mu at r(E) with no prefix in E."""
+def sigma2(
+    collection: FamilyCollection, only: Iterable[PathFamily] | None = None
+) -> FamilyCollection:
+    """Extension transport: Ext(mu; E) for mu at r(E) with no prefix in E.
+
+    ``only`` restricts the members mapped, as in ``sigma1``.
+    """
     out = set(collection.members)
-    for fam in collection.members:
+    for fam in collection.members if only is None else only:
         for mu in _window_mus(collection, fam):
             _add(out, _check_family(collection, ext_family(mu, fam)))
     return collection.with_members(out)
 
 
-def sigma3(collection: FamilyCollection) -> FamilyCollection:
-    """Truncations of each member family along positive degree choices."""
+def sigma3(
+    collection: FamilyCollection, only: Iterable[PathFamily] | None = None
+) -> FamilyCollection:
+    """Truncations of each member family along positive degree choices.
+
+    ``only`` restricts the members mapped, as in ``sigma1``.
+    """
     out = set(collection.members)
-    for fam in collection.members:
-        for choice in _truncation_choices(fam, budget=collection.budget):
-            _add(out, _check_family(collection, _truncate(fam, choice)))
+    for fam in collection.members if only is None else only:
+        for target in _truncations(fam, budget=collection.budget):
+            _add(out, _check_family(collection, target))
     return collection.with_members(out)
 
 
@@ -352,8 +391,7 @@ def is_satiated(collection: FamilyCollection) -> tuple[bool, list[Violation]]:
                 )
 
     for fam in collection.sorted_members():
-        for choice in _truncation_choices(fam, budget=collection.budget):
-            target = _truncate(fam, choice)
+        for target in _truncations(fam, budget=collection.budget):
             if target not in members and collection.in_window(target):
                 violations.append(
                     Violation("S3", f"truncation {target!r} of {fam!r} missing")
@@ -377,11 +415,23 @@ def satiate(
     Iterates the composite map sigma4 . sigma3 . sigma2 . sigma1 to its
     fixed point; the universe is finite so this terminates, with the round
     budget guarding against bugs.
+
+    Rounds are semi-naive.  A round starting from C_k already holds the
+    sigma1-sigma3 images of every member of C_{k-1}, so sigma1, sigma2 and
+    sigma3 map only the delta: the members of C_k not in C_{k-1}, plus the
+    families the same round has added so far.  sigma4 maps every member.
+    Each round therefore yields the same collection as the naive composite.
     """
     current = collection
+    previous: frozenset = frozenset()
     for _ in range(max_rounds):
-        stepped = sigma4(sigma3(sigma2(sigma1(current))))
+        delta = current.members - previous
+        stepped = sigma1(current, only=delta)
+        stepped = sigma2(stepped, only=delta | (stepped.members - current.members))
+        stepped = sigma3(stepped, only=delta | (stepped.members - current.members))
+        stepped = sigma4(stepped)
         if stepped.members == current.members:
             return current
+        previous = current.members
         current = stepped
     raise FixpointBudgetExceeded(f"satiation did not stabilize in {max_rounds} rounds")

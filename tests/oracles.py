@@ -10,9 +10,18 @@ fixtures only.
 import itertools
 import random
 
-from kgraphck.kgraph import Edge, Path, SkeletonSpec, compose, validate
+from kgraphck.degree import Degree
+from kgraphck.errors import FixpointBudgetExceeded, UniverseTooLarge
+from kgraphck.kgraph import Edge, Path, SkeletonSpec, compose, segment, validate
 from kgraphck.alignment import PathFamily
-from kgraphck.satiation import FamilyCollection, is_satiated
+from kgraphck.satiation import (
+    FamilyCollection,
+    is_satiated,
+    sigma1,
+    sigma2,
+    sigma3,
+    sigma4,
+)
 
 
 # -- rewriting ----------------------------------------------------------------
@@ -127,6 +136,42 @@ def all_satiated_by_subsets(base: FamilyCollection):
     return out
 
 
+def _truncation_choices(fam: PathFamily, budget: int | None = None):
+    """All choice vectors 0 < n_lam <= d(lam) over the members."""
+    members = fam.sorted_members()
+    per_member = [
+        [n for n in p.degree.below() if not n.is_zero()] for p in members
+    ]
+    count = 1
+    for opts in per_member:
+        count *= len(opts)
+    if budget is not None and count > budget:
+        raise UniverseTooLarge(
+            f"{count} truncation vectors for {fam!r} exceed the budget {budget}"
+        )
+    for choice in itertools.product(*per_member):
+        yield tuple(zip(members, choice))
+
+
+def _truncate(fam: PathFamily, choice) -> PathFamily:
+    zero = Degree.zero(fam.graph.rank)
+    cut = {segment(p, zero, n) for p, n in choice}
+    return PathFamily(fam.graph, fam.vertex, cut)
+
+
+def naive_satiate(
+    collection: FamilyCollection, max_rounds: int = 1_000
+) -> FamilyCollection:
+    """The satiation fixpoint with every map applied to every member each round."""
+    current = collection
+    for _ in range(max_rounds):
+        stepped = sigma4(sigma3(sigma2(sigma1(current))))
+        if stepped.members == current.members:
+            return current
+        current = stepped
+    raise FixpointBudgetExceeded(f"satiation did not stabilize in {max_rounds} rounds")
+
+
 class AxiomClosure:
     """Fast direct saturation under the four axioms, over universe bitmasks.
 
@@ -137,7 +182,6 @@ class AxiomClosure:
 
     def __init__(self, base: FamilyCollection):
         from kgraphck.alignment import ext_family, has_prefix_in
-        from kgraphck.satiation import _truncation_choices, _truncate
 
         self.base = base
         self.U = base.universe_all()

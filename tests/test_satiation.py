@@ -3,12 +3,17 @@ import random
 
 import pytest
 
+from kgraphck.boundary import omega
 from kgraphck.degree import Degree
 from kgraphck.alignment import family
+from kgraphck.errors import BUDGET_ERRORS, ClosureInvariantViolated, UniverseTooLarge
 from kgraphck.exhaustive import Status, is_exhaustive
+from kgraphck.graphio import parse_path
 from kgraphck.satiation import (
     FamilyCollection,
     Membership,
+    _check_family,
+    _truncations,
     full_fe_collection,
     is_satiated,
     member,
@@ -104,7 +109,157 @@ def test_sigma_outputs_exhaustive_vertex_free(omega21):
                 assert is_exhaustive(fam).status is Status.EXHAUSTIVE
 
 
+def _truncation_graphs():
+    batch = oracles.random_graphs(7, 6)
+    return [
+        omega(2, Degree(1, 1)),
+        omega(2, Degree(2, 1)),
+        omega(3, Degree(1, 1, 1)),
+        batch[0],
+        batch[1],
+        batch[3],
+    ]
+
+
+def _oracle_truncations(fam, budget=None):
+    choices = oracles._truncation_choices(fam, budget=budget)
+    return list(dict.fromkeys(oracles._truncate(fam, c) for c in choices))
+
+
+def test_truncations_match_choice_vector_oracle():
+    # one family per distinct truncation, in first-choice-vector order
+    for g in _truncation_graphs():
+        for fam in FamilyCollection(g).universe_all():
+            assert list(_truncations(fam)) == _oracle_truncations(fam)
+
+
+def test_truncations_budget_matches_oracle():
+    checked = 0
+    for g in _truncation_graphs():
+        for fam in FamilyCollection(g).universe_all():
+            vectors = sum(1 for _ in oracles._truncation_choices(fam))
+            if vectors < 2:
+                continue
+            assert len(list(_truncations(fam, budget=vectors))) >= 1
+            with pytest.raises(UniverseTooLarge) as got:
+                list(_truncations(fam, budget=vectors - 1))
+            with pytest.raises(UniverseTooLarge) as want:
+                _oracle_truncations(fam, budget=vectors - 1)
+            assert str(got.value) == str(want.value)
+            checked += 1
+    assert checked > 0
+
+
+def test_is_satiated_reports_each_violation_once(omega21):
+    g = omega21
+    tokens = ["c1:0,0.c2:1,0", "c1:0,0.c1:1,0", "c1:0,0.c1:1,0.c2:2,0"]
+    fam = family(g, [parse_path(g, t) for t in tokens])
+    C = FamilyCollection(g).with_members([fam])
+    ok, violations = is_satiated(C)
+    assert not ok
+    assert len(violations) == 20
+    assert len(set(violations)) == len(violations)
+    # the same S3 violations one per choice vector used to report, deduplicated
+    per_vector = {
+        oracles._truncate(fam, c) for c in oracles._truncation_choices(fam)
+    }
+    missing = {t for t in per_vector if t not in C.members}
+    assert {v.detail for v in violations if v.axiom == "S3"} == {
+        f"truncation {t!r} of {fam!r} missing" for t in missing
+    }
+
+
+def test_check_family_raises_typed_error(omega11, omega21):
+    assert not issubclass(ClosureInvariantViolated, BUDGET_ERRORS)
+    # an exact universe whose cached set lost one family: the superset map
+    # meets that family inside the window
+    exact = FamilyCollection(omega11)
+    universe = exact.universe("0,0")
+    gen = min(universe, key=lambda f: len(f.members))
+    dropped = next(f for f in universe if gen.members < f.members)
+    exact._universe_sets["0,0"] = exact._universe_sets["0,0"] - {dropped}
+    with pytest.raises(ClosureInvariantViolated, match="inside the window"):
+        sigma1(exact.with_members([gen]))
+    with pytest.raises(ClosureInvariantViolated, match="inside the window"):
+        _check_family(exact, dropped)
+    # a family beyond the window is dropped on a windowed universe, and is an
+    # error on a universe that claims to be exact
+    windowed = FamilyCollection(omega21, depth=Degree(1, 1))
+    windowed.universe_all()
+    deep = family(omega21, omega21.paths("0,0", Degree(2, 1)))
+    assert not windowed.in_window(deep)
+    assert _check_family(windowed, deep) is None
+    windowed.exact = True
+    with pytest.raises(ClosureInvariantViolated, match="exact universe"):
+        _check_family(windowed, deep)
+
+
 # -- satiate -------------------------------------------------------------------------
+
+
+def _generator_draws(base, rng, draws):
+    universe = base.universe_all()
+    for _ in range(draws):
+        yield base.with_members(rng.sample(universe, min(len(universe), rng.randint(1, 2))))
+
+
+def test_satiate_matches_naive_fixpoint(g1, omega11, omega21, omega13, omega12, parallel_square):
+    rng = random.Random(17)
+    batch = oracles.random_graphs(7, 6)
+    acyclic = (omega11, omega21, omega13, omega12, parallel_square, batch[0], batch[1], batch[3])
+    bases = [FamilyCollection(g1, (), depth=Degree(1, 1))]
+    bases += [FamilyCollection(g) for g in acyclic]
+    for base in bases:
+        for C in _generator_draws(base, rng, 4):
+            assert satiate(C).members == oracles.naive_satiate(C).members
+
+
+def test_satiate_rounds_match_naive_composite(monkeypatch, omega21, parallel_square):
+    # the semi-naive rounds reproduce the naive composite round by round,
+    # not only at the fixpoint
+    import kgraphck.satiation as satiation
+
+    rounds = []
+
+    def recording_sigma4(collection):
+        out = sigma4(collection)
+        rounds.append(out.members)
+        return out
+
+    monkeypatch.setattr(satiation, "sigma4", recording_sigma4)
+    rng = random.Random(23)
+    batch = oracles.random_graphs(7, 6)
+    bases = [FamilyCollection(g) for g in (omega21, parallel_square, batch[0], batch[3])]
+    for base in bases:
+        for C in _generator_draws(base, rng, 3):
+            rounds.clear()
+            satiate(C)
+            naive = []
+            current = C
+            while True:
+                stepped = sigma4(sigma3(sigma2(sigma1(current))))
+                naive.append(stepped.members)
+                if stepped.members == current.members:
+                    break
+                current = stepped
+            assert rounds == naive
+
+
+def test_satiate_budget_matches_naive(omega21):
+    rng = random.Random(19)
+    base = FamilyCollection(omega21)
+    raised = 0
+    for C in _generator_draws(base, rng, 6):
+        C.budget = 3
+        outcomes = []
+        for fn in (satiate, oracles.naive_satiate):
+            try:
+                outcomes.append(fn(C).members)
+            except BUDGET_ERRORS as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+        raised += outcomes[0] is UniverseTooLarge
+    assert raised > 0
 
 
 def test_satiate_empty_and_full(omega11):
