@@ -38,7 +38,6 @@ from .boundary import (
     is_aperiodic_path,
     is_boundary,
     is_boundary_windowed,
-    mce_morphisms,
     omega,
     position,
     position_inverse,
@@ -49,7 +48,6 @@ from .formal import FormalElement, formal_mul, formal_star, gauge_expectation
 from .matrices import SparseMatrix
 from .repn import (
     CKFamily,
-    MatrixUnitGrid,
     UniquenessHypotheses,
     boundary_rep,
     check_uniqueness_hypotheses,

@@ -17,6 +17,7 @@ from .errors import (
     CyclicGraphUnsupported,
     DomainError,
     InexactUniverse,
+    InvariantViolated,
     NoSeparation,
     PreconditionFailed,
 )
@@ -142,21 +143,6 @@ def is_boundary(x: Path, S: FamilyCollection) -> bool:
     return True
 
 
-def is_boundary_full_check(x: Path, S: FamilyCollection) -> bool:
-    """Same check over every member family; shadows the minimal-member path."""
-    _require_exact(S)
-    d = x.degree
-    for n in d.below():
-        u = vertex_at(x, n)
-        for E in S.at(u):
-            if not any(
-                n + lam.degree <= d and segment(x, n, n + lam.degree) == lam
-                for lam in E.sorted_members()
-            ):
-                return False
-    return True
-
-
 def is_boundary_windowed(x: Path, S: FamilyCollection) -> Membership:
     """Three-valued membership against a windowed collection.
 
@@ -190,7 +176,10 @@ def boundary_paths(v: str, S: FamilyCollection) -> tuple[BoundaryPath, ...]:
     out = tuple(
         BoundaryPath(x, S) for x in g.paths_at(v) if is_boundary(x, S)
     )
-    assert out, f"empty boundary at {v}: satiated collections never strand a vertex"
+    if not out:
+        raise InvariantViolated(
+            f"empty boundary at {v}: satiated collections never strand a vertex"
+        )
     return out
 
 
@@ -204,18 +193,12 @@ def restrict(x: BoundaryPath, n: Degree) -> BoundaryPath:
     return boundary_path(segment(x.path, n, x.path.degree), x.families)
 
 
-def mce_morphisms(x: Path | BoundaryPath, y: Path | BoundaryPath) -> tuple[Path, ...]:
-    """Minimal common extensions of two finite-degree graph morphisms.
-
-    On finite paths this coincides with the path-level minimal common
-    extension set.
-    """
-    px = x.path if isinstance(x, BoundaryPath) else x
-    py = y.path if isinstance(y, BoundaryPath) else y
-    return mce(px, py)
-
-
 # -- constructive builder -----------------------------------------------------------
+
+# loop passes after which construct_boundary gives up: every pass but the last
+# extends the path by positive degree, so on an acyclic graph the loop ends
+# within (total of max_degree) + 1 passes
+_CONSTRUCT_STEPS = 10_000
 
 
 def construct_boundary(
@@ -255,7 +238,8 @@ def construct_boundary(
     guard = 0
     while True:
         guard += 1
-        assert guard <= 10_000, "construction failed to terminate"
+        if guard > _CONSTRUCT_STEPS:
+            raise InvariantViolated("boundary construction failed to terminate")
         pending = [
             (m, j)
             for m in range(len(checkpoints))
@@ -277,7 +261,8 @@ def construct_boundary(
             )
             # guaranteed nonempty: otherwise the avoided family would belong
             # to the collection, contradicting the precondition
-            assert candidates, "no admissible extension; collection not satiated?"
+            if not candidates:
+                raise InvariantViolated("no admissible extension; collection not satiated?")
         nu = candidates[0]
         lam = compose(lam, nu)
         if avoid_ext is not None:
@@ -286,8 +271,8 @@ def construct_boundary(
         listings.append(S.at(lam.source))
 
     out = boundary_path(lam, S)
-    if avoid is not None:
-        assert not has_prefix_in(lam, avoid.members)
+    if avoid is not None and has_prefix_in(lam, avoid.members):
+        raise InvariantViolated(f"constructed {lam.token()} has an initial segment in avoid")
     return out
 
 

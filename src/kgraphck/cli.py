@@ -1,8 +1,8 @@
 """Command-line frontend: batch runs over graph files with JSON reports.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 parse or
-precondition error, 3 budget exhausted.  Reports are deterministic for a
-fixed config and seed.
+precondition error or a broken internal invariant, 3 budget exhausted.
+Reports are deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -20,7 +19,7 @@ from .errors import BUDGET_ERRORS, KGraphError, ParseError, PreconditionFailed
 from .kgraph import KGraph, validate
 from .alignment import PathFamily, ext, family, mce, pi_closure
 from .exhaustive import Status, fe_enumerate, is_exhaustive, minimal_exhaustive
-from .satiation import FamilyCollection, is_satiated, member, satiate
+from .satiation import FamilyCollection, is_satiated, satiate
 from .boundary import (
     boundary_paths,
     condition_c,
@@ -59,19 +58,13 @@ def _load_graph(path: str) -> KGraph:
 
 
 def _load_collection(graph: KGraph, args) -> FamilyCollection:
-    depth = None
-    if getattr(args, "depth", None):
-        depth = _parse_degree(args.depth, graph.rank)
+    depth = _parse_degree(args.depth, graph.rank) if args.depth else None
     members = []
-    if getattr(args, "generators", None):
+    if args.generators:
         with open(args.generators) as fh:
             members = parse_families(graph, json.load(fh))
     base = FamilyCollection(
-        graph,
-        (),
-        depth=depth,
-        max_family_size=getattr(args, "max_size", None),
-        budget=args.budget,
+        graph, (), depth=depth, max_family_size=args.max_size, budget=args.budget
     )
     return base.with_members(members)
 
@@ -330,8 +323,10 @@ def cmd_verify(args) -> int:
     S = satiate(C)
 
     def rng_for(tag: str) -> random.Random:
-        # per-stage generators keep reports identical for any --jobs value
+        # one generator per stage, so a stage's draws do not depend on the
+        # stages before it
         return random.Random(f"{args.seed}:{tag}")
+
     if args.bundle:
         with open(args.bundle) as fh:
             T = _bundle_load(graph, json.load(fh))
@@ -348,7 +343,6 @@ def cmd_verify(args) -> int:
             "generators": args.generators,
             "backend": args.backend,
             "windows": args.windows,
-            "jobs": args.jobs,
         },
         seed=args.seed,
     )
@@ -461,13 +455,8 @@ def cmd_verify(args) -> int:
         return [("boundary-existence", ok, {})]
 
     stages = [relations, matrix_units, gaps, faithful, shift_gaps, gauge, contraction, boundary_existence]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(lambda f: f(), stages))
-    else:
-        chunks = [f() for f in stages]
-    for chunk in chunks:
-        for name, ok, extra in chunk:
+    for stage in stages:
+        for name, ok, extra in stage():
             report.add(name, ok, **extra)
 
     report.emit(args.json)
@@ -490,6 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--budget", type=int, default=200_000)
         p.add_argument("--seed", type=int, default=0)
+        return p
+
+    def collection(p):
+        p.add_argument("--generators")
+        p.add_argument("--depth")
+        p.add_argument("--max-size", type=int, default=None)
         return p
 
     common(sub.add_parser("validate")).set_defaults(fn=cmd_validate)
@@ -528,51 +523,31 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--minimal", action="store_true")
     pe.set_defaults(fn=cmd_exhaustive_enumerate)
 
-    p = common(sub.add_parser("satiate"))
-    p.add_argument("--generators")
-    p.add_argument("--depth")
-    p.add_argument("--max-size", type=int, default=None)
+    p = collection(common(sub.add_parser("satiate")))
     p.set_defaults(fn=cmd_satiate)
 
     p = sub.add_parser("boundary")
     bsub = p.add_subparsers(dest="subcommand", required=True)
-    pl = common(bsub.add_parser("list"))
+    pl = collection(common(bsub.add_parser("list")))
     pl.add_argument("--vertex")
-    pl.add_argument("--generators")
-    pl.add_argument("--depth")
-    pl.add_argument("--max-size", type=int, default=None)
     pl.set_defaults(fn=cmd_boundary_list)
-    pb = common(bsub.add_parser("construct"))
+    pb = collection(common(bsub.add_parser("construct")))
     pb.add_argument("vertex")
-    pb.add_argument("--generators")
-    pb.add_argument("--depth")
-    pb.add_argument("--max-size", type=int, default=None)
     pb.add_argument("--avoid", nargs="+")
     pb.set_defaults(fn=cmd_boundary_construct)
     pa = common(bsub.add_parser("aperiodic"))
     pa.add_argument("path")
     pa.set_defaults(fn=cmd_boundary_aperiodic)
-    pcc = common(bsub.add_parser("condition-c"))
-    pcc.add_argument("--generators")
-    pcc.add_argument("--depth")
-    pcc.add_argument("--max-size", type=int, default=None)
+    pcc = collection(common(bsub.add_parser("condition-c")))
     pcc.set_defaults(fn=cmd_boundary_condition_c)
 
-    p = common(sub.add_parser("represent"))
-    p.add_argument("--generators")
-    p.add_argument("--depth")
-    p.add_argument("--max-size", type=int, default=None)
+    p = collection(common(sub.add_parser("represent")))
     p.add_argument("--out")
     p.set_defaults(fn=cmd_represent)
 
-    p = common(sub.add_parser("verify"))
-    p.add_argument("--all", action="store_true", help="run every check (the default)")
-    p.add_argument("--generators")
-    p.add_argument("--depth")
-    p.add_argument("--max-size", type=int, default=None)
+    p = collection(common(sub.add_parser("verify")))
     p.add_argument("--backend", choices=("exact", "float"), default="exact")
     p.add_argument("--windows", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--bundle")
     p.set_defaults(fn=cmd_verify)
 

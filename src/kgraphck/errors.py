@@ -3,15 +3,26 @@
 Errors split into three CLI-visible classes: invalid input / precondition
 failures (exit 2), exhausted search or closure budgets (exit 3), and check
 failures, which are reported in results rather than raised (exit 1).
-A broken internal invariant that a result depends on, such as a closure map
-leaving its exact universe (``ClosureInvariantViolated``), is a typed error
-rather than an ``assert``, so it also fires under ``python -O``; the CLI
-reports it with exit 2.
+A broken internal invariant that a result depends on raises
+``InvariantViolated`` rather than failing an ``assert``, so it also fires
+under ``python -O``; the CLI reports it with exit 2.  Examples are an empty
+boundary at some vertex, a boundary construction that does not terminate or
+finds no admissible extension, a boundary representation that fails its own
+relation check, and a closure map leaving its exact universe
+(``ClosureInvariantViolated``).
+
+``DuplicateId`` and ``UnknownColor`` are both ``ParseError``s and
+``InvalidSpec``s: :func:`kgraph.validate` raises them, so a graph file
+reports them as parse errors and a hand-built skeleton as an invalid one.
 """
 
 
 class KGraphError(Exception):
     """Base class for all library errors."""
+
+
+class InvariantViolated(KGraphError):
+    """An internal invariant that a result depends on does not hold."""
 
 
 # -- skeleton validation ----------------------------------------------------
@@ -72,7 +83,7 @@ class FixpointBudgetExceeded(KGraphError):
     """Satiation fixpoint iteration exceeded its budget."""
 
 
-class ClosureInvariantViolated(KGraphError):
+class ClosureInvariantViolated(InvariantViolated):
     """A closure map produced a family outside the universe it must stay in."""
 
 
@@ -114,11 +125,11 @@ class ParseError(KGraphError):
     """Malformed graph or generator file."""
 
 
-class DuplicateId(ParseError):
+class DuplicateId(ParseError, InvalidSpec):
     """Repeated vertex or edge identifier."""
 
 
-class UnknownColor(ParseError):
+class UnknownColor(ParseError, InvalidSpec):
     """Edge color outside 1..rank."""
 
 

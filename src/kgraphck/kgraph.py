@@ -22,12 +22,14 @@ from .degree import Degree
 from .errors import (
     CyclicGraphUnsupported,
     DegreeOutOfRange,
+    DuplicateId,
     HexagonViolation,
     IncompatibleEndpoints,
     InvalidSpec,
     MissingSquare,
     NonBijectiveSquare,
     NotComposable,
+    UnknownColor,
 )
 
 
@@ -321,23 +323,23 @@ def validate(spec: SkeletonSpec) -> KGraph:
     """Validate a skeleton and return the k-graph it presents.
 
     Raises MissingSquare, NonBijectiveSquare, IncompatibleEndpoints or
-    HexagonViolation naming the offending edges; InvalidSpec for structural
-    problems (unknown ids, bad colors, duplicates).
+    HexagonViolation naming the offending edges; DuplicateId for a repeated
+    vertex or edge id, UnknownColor for a color outside 1..rank, and
+    InvalidSpec for other structural problems (unknown ids, bad squares).
     """
     if spec.rank < 1:
         raise InvalidSpec("rank must be >= 1")
-    seen: set[str] = set()
+    vset: set[str] = set()
     for v in spec.vertices:
-        if v in seen:
-            raise InvalidSpec(f"duplicate vertex id {v!r}")
-        seen.add(v)
-    vset = set(spec.vertices)
+        if v in vset:
+            raise DuplicateId(f"duplicate vertex id {v!r}")
+        vset.add(v)
     edges: dict[str, Edge] = {}
     for e in spec.edges:
         if e.id in edges or e.id in vset:
-            raise InvalidSpec(f"duplicate id {e.id!r}")
+            raise DuplicateId(f"duplicate id {e.id!r}")
         if not 1 <= e.color <= spec.rank:
-            raise InvalidSpec(f"edge {e.id!r} has color {e.color} outside 1..{spec.rank}")
+            raise UnknownColor(f"edge {e.id!r} has color {e.color} outside 1..{spec.rank}")
         if e.range not in vset or e.source not in vset:
             raise InvalidSpec(f"edge {e.id!r} references unknown vertices")
         edges[e.id] = e
@@ -436,6 +438,7 @@ def compose(p: Path, q: Path) -> Path:
 
 
 def compose_all(paths: Iterable[Path]) -> Path:
+    """The normal form of p1 p2 ... pn for a nonempty sequence of paths."""
     it = iter(paths)
     out = next(it)
     for p in it:

@@ -21,6 +21,7 @@ from .errors import (
     HypothesisNotMet,
     IncompleteFamily,
     InexactUniverse,
+    InvariantViolated,
     PairNotInGrid,
     PreconditionFailed,
 )
@@ -28,7 +29,7 @@ from .kgraph import KGraph, Path, compose, path_sort_key, _split
 from .alignment import PathFamily, ext, lambda_min, pairs_ds, pi_closure
 from .satiation import FamilyCollection, Membership, member
 from .boundary import boundary_paths, condition_c
-from .formal import FormalElement, gauge_expectation
+from .formal import FormalElement, formal_mul, gauge_expectation
 from .matrices import SparseMatrix
 
 
@@ -73,10 +74,6 @@ class CKFamily:
 
     def is_degenerate(self) -> bool:
         return all(self.vertex_op(v).is_zero() for v in self.graph.vertices)
-
-    @classmethod
-    def zero_family(cls, graph: KGraph, dim: int = 1) -> "CKFamily":
-        return cls(graph, dim, {lam: SparseMatrix.zero(dim) for lam in graph.all_paths()})
 
     def to_complex(self) -> "CKFamily":
         """The same family over complex floats (for the analytic checks)."""
@@ -227,8 +224,10 @@ def boundary_rep(graph: KGraph, S: FamilyCollection, verify: bool = True) -> CKF
     T = CKFamily(graph, dim, ops, basis=tuple(basis))
     if verify:
         report = verify_family(T, S)
-        assert report.ok, f"boundary representation failed: {report.failed()}"
-        assert all(not T.vertex_op(v).is_zero() for v in graph.vertices)
+        if not report.ok:
+            raise InvariantViolated(f"boundary representation failed: {report.failed()}")
+        if any(T.vertex_op(v).is_zero() for v in graph.vertices):
+            raise InvariantViolated("boundary representation has a zero vertex operator")
     return T
 
 
@@ -272,31 +271,10 @@ def formal_theta(PiE: Sequence[Path], lam: Path, mu: Path) -> FormalElement:
     word = FormalElement.generator(sv, sv)
     for nu in grid_tails(PiE, lam):
         gap = FormalElement.generator(sv, sv) - FormalElement.generator(nu, nu)
-        word = _formal_mul(word, gap)
+        word = formal_mul(word, gap)
     left = FormalElement.generator(lam, sv)
     right = FormalElement.generator(sv, mu)
-    return _formal_mul(_formal_mul(left, word), right)
-
-
-def _formal_mul(a: FormalElement, b: FormalElement) -> FormalElement:
-    from .formal import formal_mul
-
-    return formal_mul(a, b)
-
-
-@dataclass
-class MatrixUnitGrid:
-    """A grid set with its matched pairs and their matrix units in T."""
-
-    paths: tuple[Path, ...]
-    pairs: tuple[tuple[Path, Path], ...]
-    thetas: dict
-
-    @classmethod
-    def over(cls, T: CKFamily, window: Sequence[Path]) -> "MatrixUnitGrid":
-        PiE = pi_closure(window)
-        pairs = pairs_ds(PiE)
-        return cls(PiE, pairs, {(l, m): theta(T, PiE, l, m) for l, m in pairs})
+    return formal_mul(formal_mul(left, word), right)
 
 
 @dataclass

@@ -11,8 +11,8 @@ import itertools
 import random
 
 from kgraphck.degree import Degree
-from kgraphck.errors import FixpointBudgetExceeded, UniverseTooLarge
-from kgraphck.kgraph import Edge, Path, SkeletonSpec, compose, segment, validate
+from kgraphck.errors import FixpointBudgetExceeded, InexactUniverse, UniverseTooLarge
+from kgraphck.kgraph import Edge, Path, SkeletonSpec, compose, segment, validate, vertex_at
 from kgraphck.alignment import PathFamily
 from kgraphck.satiation import (
     FamilyCollection,
@@ -290,6 +290,26 @@ class AxiomClosure:
                 acc = mask if acc is None else acc & mask
         assert acc is not None, "full universe should always qualify"
         return self.members_of(acc)
+
+
+# -- boundary paths -----------------------------------------------------------------
+
+
+def is_boundary_full_check(x, S: FamilyCollection) -> bool:
+    """Boundary membership checked against every member family of S, not
+    only the inclusion-minimal ones that ``boundary.is_boundary`` uses."""
+    if not S.exact:
+        raise InexactUniverse("boundary membership needs an exact universe")
+    d = x.degree
+    for n in d.below():
+        u = vertex_at(x, n)
+        for E in S.at(u):
+            if not any(
+                n + lam.degree <= d and segment(x, n, n + lam.degree) == lam
+                for lam in E.sorted_members()
+            ):
+                return False
+    return True
 
 
 # -- random valid skeletons -------------------------------------------------------

@@ -1,11 +1,11 @@
-import random
-
 import pytest
 
 from kgraphck.degree import Degree
+from kgraphck import boundary
 from kgraphck.errors import (
     CyclicGraphUnsupported,
     DomainError,
+    InvariantViolated,
     NoSeparation,
     PreconditionFailed,
 )
@@ -27,14 +27,14 @@ from kgraphck.boundary import (
     extend,
     is_aperiodic_path,
     is_boundary,
-    is_boundary_full_check,
-    mce_morphisms,
     omega,
     position,
     position_inverse,
     restrict,
     separation_degree,
 )
+
+from oracles import is_boundary_full_check
 
 
 @pytest.fixture(scope="module")
@@ -229,18 +229,6 @@ def test_extend_restrict_preserve_membership(omega21):
                     assert is_boundary(segment(bp.path, n, bp.path.degree), S)
 
 
-# -- mce for morphisms ---------------------------------------------------------------
-
-
-def test_mce_morphisms_matches_path_mce(omega21):
-    rng = random.Random(3)
-    paths = omega21.all_paths()
-    full = full_fe_collection(omega21)
-    for _ in range(40):
-        x, y = rng.choice(paths), rng.choice(paths)
-        assert set(mce_morphisms(x, y)) == set(mce(x, y))
-
-
 # -- constructive builder ----------------------------------------------------------------
 
 
@@ -406,3 +394,46 @@ def test_shift_not_in_collection(omega11, sat_a):
                 head = segment(bp.path, Degree(0, 0), n)
                 transported = ext_family(head, F)
                 assert member(transported, S) is Membership.NO
+
+
+# -- internal invariants ---------------------------------------------------------------
+# These fire as typed errors, not asserts, so they hold under python -O too; each
+# test breaks one collaborator of the checked code to reach its branch.
+
+
+def test_empty_boundary_raises_invariant(monkeypatch, sat_a):
+    monkeypatch.setattr(boundary, "is_boundary", lambda x, S: False)
+    with pytest.raises(InvariantViolated, match="empty boundary at 0,0"):
+        boundary_paths("0,0", sat_a)
+
+
+def test_construction_step_guard(monkeypatch, sat_a, omega11):
+    assert construct_boundary("0,0", sat_a).path == omega11.edge_path("c1:0,0")
+    monkeypatch.setattr(boundary, "_CONSTRUCT_STEPS", 1)
+    with pytest.raises(InvariantViolated, match="failed to terminate"):
+        construct_boundary("0,0", sat_a)
+
+
+def test_construction_without_admissible_extension(monkeypatch, sat_a, omega11):
+    avoid = family(omega11, [omega11.paths("0,0", Degree(1, 1))[0]])
+    real_member = boundary.member
+    calls = []
+
+    def member_after_precondition(F, S):
+        # the precondition sees the true answer; every candidate then looks
+        # like it forces the avoided family into the collection
+        calls.append(F)
+        return real_member(F, S) if len(calls) == 1 else Membership.YES
+
+    monkeypatch.setattr(boundary, "member", member_after_precondition)
+    with pytest.raises(InvariantViolated, match="no admissible extension"):
+        construct_boundary("0,0", sat_a, avoid=avoid)
+
+
+def test_construction_avoid_post_check(monkeypatch, omega11):
+    S = FamilyCollection(omega11)
+    avoid = family(omega11, [omega11.edge_path("c1:0,0")])
+    assert construct_boundary("0,0", S, avoid=avoid).path.is_vertex()
+    monkeypatch.setattr(boundary, "has_prefix_in", lambda x, members: True)
+    with pytest.raises(InvariantViolated, match="initial segment in avoid"):
+        construct_boundary("0,0", S, avoid=avoid)

@@ -4,8 +4,9 @@ import pytest
 
 from kgraphck.cli import main
 from kgraphck.degree import Degree
-from kgraphck.graphio import emit_graph
 from kgraphck.boundary import omega
+
+from test_graphio import emit_graph
 
 
 @pytest.fixture(scope="module")
@@ -237,9 +238,28 @@ def test_verify_all_fixtures_exit_zero(files, capsys):
         capsys.readouterr()
 
 
-def test_verify_float_backend_and_jobs(files, capsys):
-    assert main(["verify", files["omega11"], "--backend", "float", "--jobs", "2"]) == 0
+def test_verify_float_backend(files, capsys):
+    assert main(["verify", files["omega11"], "--backend", "float"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--all"]], ids=["jobs", "all"])
+def test_verify_rejects_removed_flags(files, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", files["omega11"]] + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_report_config(files, capsys):
+    assert main(["verify", files["omega11"], "--json", "--windows", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"] == {
+        "backend": "exact",
+        "generators": None,
+        "graph": files["omega11"],
+        "windows": 1,
+    }
 
 
 def test_verify_cyclic_graph_exits_2(files, capsys):
@@ -257,10 +277,19 @@ def test_json_reports_deterministic(files, capsys):
     assert doc["seed"] == 42
 
 
-def test_jobs_do_not_change_report(files, capsys):
-    base = ["verify", files["omega11"], "--json", "--seed", "7", "--windows", "3"]
-    assert main(base + ["--jobs", "1"]) == 0
-    serial = json.loads(capsys.readouterr().out)
-    assert main(base + ["--jobs", "3"]) == 0
-    parallel = json.loads(capsys.readouterr().out)
-    assert serial["results"] == parallel["results"]
+def test_duplicate_vertex_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps({"rank": 1, "vertices": ["v", "v"], "edges": [], "squares": []}))
+    assert main(["validate", str(bad)]) == 2
+    assert "duplicate vertex id 'v'" in capsys.readouterr().err
+
+
+def test_represent_failed_self_check_exits_2(files, monkeypatch, capsys):
+    from kgraphck import repn
+
+    failed = repn.FamilyReport([repn.CheckResult("TCK1", False, 1.0)])
+    monkeypatch.setattr(repn, "verify_family", lambda T, S: failed)
+    assert main(["represent", files["omega11"], "--generators", files["gens"]]) == 2
+    captured = capsys.readouterr()
+    assert "boundary representation failed" in captured.err
+    assert captured.out == ""

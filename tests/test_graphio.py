@@ -3,9 +3,14 @@ import json
 import pytest
 
 from kgraphck.degree import Degree
-from kgraphck.errors import DuplicateId, NotComposable, ParseError, UnknownColor
+from kgraphck.errors import (
+    DuplicateId,
+    InvalidSpec,
+    NotComposable,
+    ParseError,
+    UnknownColor,
+)
 from kgraphck.graphio import (
-    emit_graph,
     parse_families,
     parse_graph,
     parse_path,
@@ -13,6 +18,11 @@ from kgraphck.graphio import (
     spec_to_dict,
 )
 from kgraphck.kgraph import validate
+
+
+def emit_graph(spec):
+    """Canonical graph file text: sorted keys, two-space indent."""
+    return json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n"
 
 
 G1_DOC = {
@@ -43,16 +53,34 @@ def test_parse_errors():
         spec_from_dict({"rank": 2})
     with pytest.raises(ParseError):
         spec_from_dict({**G1_DOC, "squares": [["b", "r", "r"]]})
-    with pytest.raises(DuplicateId):
-        spec_from_dict({**G1_DOC, "vertices": ["v", "v"]})
-    with pytest.raises(DuplicateId):
-        spec_from_dict(
-            {**G1_DOC, "edges": [["b", 1, "v", "v"], ["b", 2, "v", "v"]]}
-        )
-    with pytest.raises(UnknownColor):
-        spec_from_dict({**G1_DOC, "edges": [["b", 3, "v", "v"], ["r", 2, "v", "v"]]})
     with pytest.raises(ParseError):
         spec_from_dict({**G1_DOC, "vertices": ["v", "w.x"]})
+    with pytest.raises(ParseError):
+        spec_from_dict({**G1_DOC, "edges": 5})
+    with pytest.raises(ParseError):
+        spec_from_dict({**G1_DOC, "squares": {"b": "r"}})
+    with pytest.raises(ParseError):
+        spec_from_dict({**G1_DOC, "edges": [["b", "1", "v", "v"], ["r", 2, "v", "v"]]})
+    with pytest.raises(ParseError):
+        spec_from_dict({**G1_DOC, "edges": [["b", 1, ["v"], "v"], ["r", 2, "v", "v"]]})
+
+
+def test_structural_errors_from_validate():
+    """Ids and colors are checked once, by validate, and stay ParseErrors."""
+    cases = [
+        (DuplicateId, {**G1_DOC, "vertices": ["v", "v"]}),
+        (DuplicateId, {**G1_DOC, "edges": [["b", 1, "v", "v"], ["b", 2, "v", "v"]]}),
+        (DuplicateId, {**G1_DOC, "vertices": ["v", "b"]}),
+        (UnknownColor, {**G1_DOC, "edges": [["b", 3, "v", "v"], ["r", 2, "v", "v"]]}),
+    ]
+    for cls, doc in cases:
+        spec = spec_from_dict(doc)
+        with pytest.raises(cls) as exc:
+            validate(spec)
+        assert isinstance(exc.value, ParseError)
+        assert isinstance(exc.value, InvalidSpec)
+    with pytest.raises(InvalidSpec):
+        validate(spec_from_dict({**G1_DOC, "edges": [["b", 1, "v", "w"], ["r", 2, "v", "v"]]}))
 
 
 def test_parse_path_tokens(omega11):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from kgraphck.degree import Degree
-from kgraphck.errors import HypothesisNotMet, IncompleteFamily, PairNotInGrid
+from kgraphck import repn
+from kgraphck.errors import HypothesisNotMet, IncompleteFamily, InvariantViolated, PairNotInGrid
 from kgraphck.kgraph import compose
 from kgraphck.alignment import family, pairs_ds, pi_closure
 from kgraphck.satiation import (
@@ -40,6 +41,11 @@ from kgraphck.repn import (
 from test_formal import random_element
 
 
+def zero_family(graph, dim=1):
+    """The family assigning the zero matrix to every path."""
+    return CKFamily(graph, dim, {lam: SparseMatrix.zero(dim) for lam in graph.all_paths()})
+
+
 @pytest.fixture(scope="module")
 def sat_a(omega11):
     fam = family(omega11, [omega11.edge_path("c1:0,0")])
@@ -55,7 +61,7 @@ def rep_a(omega11, sat_a):
 
 
 def test_zero_family_passes_degenerate(omega11):
-    Z = CKFamily.zero_family(omega11)
+    Z = zero_family(omega11)
     report = verify_family(Z)
     assert report.ok
     assert report.degenerate
@@ -167,6 +173,20 @@ def test_rep_respects_satiation_generators(omega21):
         assert gap_product(T, fam.members, fam.vertex).is_zero()
 
 
+def test_rep_self_check_raises_typed_errors(monkeypatch, omega11, sat_a):
+    # both self-checks raise InvariantViolated, so they also run under python -O
+    failed = repn.FamilyReport([repn.CheckResult("TCK1", False, 1.0)])
+    monkeypatch.setattr(repn, "verify_family", lambda T, S: failed)
+    with pytest.raises(InvariantViolated, match="boundary representation failed"):
+        boundary_rep(omega11, sat_a)
+    assert boundary_rep(omega11, sat_a, verify=False).dim == 6
+
+    monkeypatch.setattr(repn, "verify_family", lambda T, S: repn.FamilyReport())
+    monkeypatch.setattr(SparseMatrix, "is_zero", lambda self: True)
+    with pytest.raises(InvariantViolated, match="zero vertex operator"):
+        boundary_rep(omega11, sat_a)
+
+
 # -- theta ------------------------------------------------------------------------------
 
 
@@ -229,7 +249,7 @@ def test_formal_theta_matches_matrix(rep_a, omega11):
 
 
 def test_matrix_units_zero_family(omega11):
-    Z = CKFamily.zero_family(omega11)
+    Z = zero_family(omega11)
     v = omega11.vertex_path("0,0")
     report = matrix_unit_check(Z, (v,))
     assert report.ok
@@ -374,7 +394,7 @@ def test_faithful_negative_larger_collection(omega11, sat_a):
 
 def test_zero_family_not_faithful(omega11):
     S = FamilyCollection(omega11)
-    Z = CKFamily.zero_family(omega11)
+    Z = zero_family(omega11)
     verdict = faithful_on_core_check(Z, S)
     assert not verdict.faithful
     assert any("vertex" in v for v in verdict.route_b_violations)
@@ -432,7 +452,7 @@ def test_gauge_average_matches_expectation(omega11, omega21):
 
 def test_contraction_requires_hypotheses(omega11, rep_a, sat_a):
     bad = check_uniqueness_hypotheses(
-        CKFamily.zero_family(omega11), FamilyCollection(omega11)
+        zero_family(omega11), FamilyCollection(omega11)
     )
     assert not bad.all_ok
     a = FormalElement.generator(

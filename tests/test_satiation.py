@@ -6,7 +6,12 @@ import pytest
 from kgraphck.boundary import omega
 from kgraphck.degree import Degree
 from kgraphck.alignment import family
-from kgraphck.errors import BUDGET_ERRORS, ClosureInvariantViolated, UniverseTooLarge
+from kgraphck.errors import (
+    BUDGET_ERRORS,
+    ClosureInvariantViolated,
+    InvariantViolated,
+    UniverseTooLarge,
+)
 from kgraphck.exhaustive import Status, is_exhaustive
 from kgraphck.graphio import parse_path
 from kgraphck.satiation import (
@@ -171,6 +176,7 @@ def test_is_satiated_reports_each_violation_once(omega21):
 
 def test_check_family_raises_typed_error(omega11, omega21):
     assert not issubclass(ClosureInvariantViolated, BUDGET_ERRORS)
+    assert issubclass(ClosureInvariantViolated, InvariantViolated)
     # an exact universe whose cached set lost one family: the superset map
     # meets that family inside the window
     exact = FamilyCollection(omega11)
