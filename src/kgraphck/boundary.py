@@ -122,37 +122,23 @@ def _require_exact(S: FamilyCollection) -> None:
 
 
 def is_boundary(x: Path, S: FamilyCollection) -> bool:
-    """Whether x meets a member of every family of S it passes.
-
-    checking only inclusion-minimal members at each vertex is equivalent:
-    a member for a minimal family is a member for each of its supersets.
-    """
+    """Whether x meets a member of every family of S it passes."""
     _require_exact(S)
-    d = x.degree
-    zero = Degree.zero(x.graph.rank)
-    for n in d.below():
-        u = vertex_at(x, n)
-        for E in S.minimal_at(u):
-            hit = False
-            for lam in E.sorted_members():
-                if n + lam.degree <= d and segment(x, n, n + lam.degree) == lam:
-                    hit = True
-                    break
-            if not hit:
-                return False
-    return True
+    return is_boundary_windowed(x, S) is Membership.YES
 
 
 def is_boundary_windowed(x: Path, S: FamilyCollection) -> Membership:
     """Three-valued membership against a windowed collection.
 
     A violated member family is definitive (the full satiation only grows),
-    but passing every windowed family leaves the verdict open.
+    but passing every windowed family leaves the verdict open.  Checking
+    only inclusion-minimal families at each vertex is equivalent: a path
+    that misses a family misses each of its subfamilies.
     """
     d = x.degree
     for n in d.below():
         u = vertex_at(x, n)
-        for E in S.at(u):
+        for E in S.minimal_at(u):
             if not any(
                 n + lam.degree <= d and segment(x, n, n + lam.degree) == lam
                 for lam in E.sorted_members()

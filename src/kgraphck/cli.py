@@ -47,7 +47,10 @@ from .repn import (
 
 
 def _parse_degree(text: str, rank: int) -> Degree:
-    parts = [int(p) for p in text.split(",")]
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise ParseError(f"degree {text!r} is not a list of integers") from None
     if len(parts) != rank:
         raise ParseError(f"degree {text!r} has {len(parts)} coordinates, rank is {rank}")
     return Degree(*parts)

@@ -1,11 +1,13 @@
 """Deciding exhaustiveness and enumerating finite exhaustive families.
 
 A family E at v is exhaustive when every path at v has a common refinement
-with some member.  Exhaustive verdicts are three-valued: the decision is
-exact when the path category is finite (acyclic skeleton) or when every
-vertex reachable from v supports continuations of every color (then the
-degree-N prefix criterion below is complete); otherwise a bounded witness
-search may return Unknown.
+with some member: a hitting condition.  ``is_exhaustive`` and
+``fe_enumerate`` share one list of obstruction paths that E must meet.  On
+acyclic graphs it is vLambda, met through a common extension; when every
+vertex reachable from v continues in every color it is vLambda^N for any N
+at or above the member degrees, met by a member prefix.  Both prove
+exhaustiveness.  Otherwise a bounded window of vLambda, met through common
+extensions, can only refute, and an unrefuted family is Unknown.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from enum import Enum
 
 from .degree import Degree, join_all
 from .errors import BudgetExceeded
-from .kgraph import KGraph, Path, segment
-from .alignment import PathFamily, ext
+from .kgraph import KGraph, Path
+from .alignment import PathFamily, has_prefix_in, mce
 
 
 class Status(Enum):
@@ -31,7 +33,6 @@ class Status(Enum):
 class ExhaustiveVerdict:
     status: Status
     witness: Path | None
-    searched_depth: Degree
 
     def __bool__(self) -> bool:
         return self.status is Status.EXHAUSTIVE
@@ -59,40 +60,42 @@ def _source_free_from(graph: KGraph, v: str) -> bool:
     )
 
 
+def _compatible(lam: Path, members) -> bool:
+    return any(mce(lam, mu) for mu in members)
+
+
+def _obstructions(graph: KGraph, v: str, n: Degree, depth: Degree):
+    """(paths to meet, meets(path, members), whether meeting all proves it).
+
+    ``n`` is the prefix degree of the source-free case, ``depth`` the window
+    of the refute-only case; the paths come in canonical order.
+    """
+    if graph.is_acyclic:
+        return graph.paths_at(v), _compatible, True
+    if _source_free_from(graph, v):
+        return graph.paths(v, n), has_prefix_in, True
+    return graph.paths_up_to(v, depth), _compatible, False
+
+
 def is_exhaustive(E: PathFamily, depth: Degree | None = None) -> ExhaustiveVerdict:
     """Decide whether E is exhaustive at its range vertex.
 
-    Exact on acyclic graphs (full check over vLambda) and on source-free
-    reachable regions (prefix criterion at degree N, the join of member
-    degrees: a degree-N path misses E exactly when no member is a prefix).
-    Otherwise searches vLambda up to ``depth`` for a witness with empty
-    extension set and returns Unknown if none is found.
+    Exact on acyclic graphs (every path at v) and on source-free reachable
+    regions (the degree-N paths, N the join of member degrees).  Otherwise
+    searches vLambda up to ``depth`` (default N + (1, ..., 1)) for a path
+    no member meets and returns Unknown if none is found.
     """
     g = E.graph
-    v = E.vertex
     if not E.members:
-        return ExhaustiveVerdict(Status.NOT_EXHAUSTIVE, g.vertex_path(v), Degree.zero(g.rank))
-
-    if g.is_acyclic:
-        for lam in g.paths_at(v):
-            if not ext(lam, E):
-                return ExhaustiveVerdict(Status.NOT_EXHAUSTIVE, lam, g.max_degree)
-        return ExhaustiveVerdict(Status.EXHAUSTIVE, None, g.max_degree)
-
+        return ExhaustiveVerdict(Status.NOT_EXHAUSTIVE, g.vertex_path(E.vertex))
     N = join_all((p.degree for p in E.members), g.rank)
-    zero = Degree.zero(g.rank)
-    if _source_free_from(g, v):
-        for x in g.paths(v, N):
-            if not any(segment(x, zero, mu.degree) == mu for mu in E.members):
-                return ExhaustiveVerdict(Status.NOT_EXHAUSTIVE, x, N)
-        return ExhaustiveVerdict(Status.EXHAUSTIVE, None, N)
-
     if depth is None:
         depth = N + Degree(*([1] * g.rank))
-    for lam in g.paths_up_to(v, depth):
-        if not ext(lam, E):
-            return ExhaustiveVerdict(Status.NOT_EXHAUSTIVE, lam, depth)
-    return ExhaustiveVerdict(Status.UNKNOWN, None, depth)
+    paths, meets, proves = _obstructions(g, E.vertex, N, depth)
+    for lam in paths:
+        if not meets(lam, E.members):
+            return ExhaustiveVerdict(Status.NOT_EXHAUSTIVE, lam)
+    return ExhaustiveVerdict(Status.EXHAUSTIVE if proves else Status.UNKNOWN, None)
 
 
 def _subset_count(n: int, max_size: int) -> int:
@@ -110,19 +113,29 @@ def fe_enumerate(
 
     For acyclic graphs with depth at or above the maximum degree this is
     exactly the v-ranged part of the finite-exhaustive universe, up to the
-    size cap.  Output is deduplicated and canonically sorted.
+    size cap.  A subset is kept when it meets, for every obstruction, the
+    bitmask of candidates meeting it; where the obstructions cannot prove
+    exhaustiveness nothing is kept.  Output is canonically sorted.
     """
     candidates = [p for p in graph.paths_up_to(v, depth) if not p.is_vertex()]
     if _subset_count(len(candidates), max_size) > budget:
         raise BudgetExceeded(
             f"{len(candidates)} candidate paths exceed the subset budget {budget}"
         )
+    # the window bounds every member degree, so it serves as the prefix degree
+    paths, meets, proves = _obstructions(graph, v, depth, depth)
+    if not proves:
+        return ()
+    meeting = {
+        sum(1 << i for i, mu in enumerate(candidates) if meets(lam, (mu,)))
+        for lam in paths
+    }
     out = []
     for size in range(1, min(len(candidates), max_size) + 1):
-        for combo in itertools.combinations(candidates, size):
-            fam = PathFamily(graph, v, combo)
-            if is_exhaustive(fam).status is Status.EXHAUSTIVE:
-                out.append(fam)
+        for combo in itertools.combinations(range(len(candidates)), size):
+            mask = sum(1 << i for i in combo)
+            if all(mask & m for m in meeting):
+                out.append(PathFamily(graph, v, [candidates[i] for i in combo]))
     out.sort(key=lambda f: f.sort_key())
     return tuple(out)
 

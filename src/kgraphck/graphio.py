@@ -122,7 +122,10 @@ def parse_families(graph: KGraph, doc: Any):
     _require(isinstance(doc, dict) and "families" in doc, "expected {'families': [...]}")
     out = []
     for row in doc["families"]:
-        _require(isinstance(row, list) and row, f"family {row!r} must be a nonempty list")
+        _require(
+            isinstance(row, list) and row and all(isinstance(t, str) for t in row),
+            f"family {row!r} must be a nonempty list of path tokens",
+        )
         members = [parse_path(graph, tok) for tok in row]
         out.append(PathFamily(graph, members[0].range, members))
     return out

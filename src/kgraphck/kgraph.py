@@ -264,6 +264,8 @@ class KGraph:
             return cached
         if len(n) != self.rank:
             raise ValueError("degree rank mismatch")
+        if v not in self._vset:
+            raise InvalidSpec(f"unknown vertex {v!r}")
         results: list[Path] = []
 
         def by_color(color: int, start: str, acc: list[str]) -> None:

@@ -213,8 +213,8 @@ class Violation:
 def _check_family(collection: FamilyCollection, fam: PathFamily) -> PathFamily | None:
     """Re-verify that a closure map produced an exhaustive universe family.
 
-    The universe was materialized by checking exhaustiveness of every
-    candidate subset, so membership is the verification; a miss inside the
+    The universe holds every candidate subset that passes the hitting test
+    of ``fe_enumerate``, so membership is the verification; a miss inside the
     window, or any miss on an exact universe, means the map produced a
     non-exhaustive family, contradicting the supporting closure lemmas.  On
     windowed universes the maps may escape the window (graftings add

@@ -10,10 +10,16 @@ fixtures only.
 import itertools
 import random
 
-from kgraphck.degree import Degree
-from kgraphck.errors import FixpointBudgetExceeded, InexactUniverse, UniverseTooLarge
+from kgraphck.degree import Degree, join_all
+from kgraphck.errors import (
+    BudgetExceeded,
+    FixpointBudgetExceeded,
+    InexactUniverse,
+    UniverseTooLarge,
+)
 from kgraphck.kgraph import Edge, Path, SkeletonSpec, compose, segment, validate, vertex_at
-from kgraphck.alignment import PathFamily
+from kgraphck.alignment import PathFamily, ext
+from kgraphck.exhaustive import Status, _source_free_from, _subset_count
 from kgraphck.satiation import (
     FamilyCollection,
     is_satiated,
@@ -118,6 +124,57 @@ def brute_pi_closure(members):
 def brute_is_exhaustive(E, window_paths):
     """Exhaustiveness by brute extension search over an explicit window."""
     return all(brute_ext(lam, E.members) for lam in window_paths)
+
+
+def branch_is_exhaustive(E: PathFamily, depth: Degree | None = None):
+    """(status, witness) by the three separate scans is_exhaustive replaced.
+
+    Acyclic graphs scan vLambda for an empty extension set, source-free
+    regions scan the degree-N paths for a missing member prefix, and other
+    graphs scan the window below ``depth`` for an empty extension set.
+    """
+    g = E.graph
+    v = E.vertex
+    if not E.members:
+        return Status.NOT_EXHAUSTIVE, g.vertex_path(v)
+
+    if g.is_acyclic:
+        for lam in g.paths_at(v):
+            if not ext(lam, E):
+                return Status.NOT_EXHAUSTIVE, lam
+        return Status.EXHAUSTIVE, None
+
+    N = join_all((p.degree for p in E.members), g.rank)
+    zero = Degree.zero(g.rank)
+    if _source_free_from(g, v):
+        for x in g.paths(v, N):
+            if not any(segment(x, zero, mu.degree) == mu for mu in E.members):
+                return Status.NOT_EXHAUSTIVE, x
+        return Status.EXHAUSTIVE, None
+
+    if depth is None:
+        depth = N + Degree(*([1] * g.rank))
+    for lam in g.paths_up_to(v, depth):
+        if not ext(lam, E):
+            return Status.NOT_EXHAUSTIVE, lam
+    return Status.UNKNOWN, None
+
+
+def subset_fe_enumerate(graph, v, depth, max_size, budget=200_000):
+    """fe_enumerate by running branch_is_exhaustive on every candidate subset."""
+    candidates = [p for p in graph.paths_up_to(v, depth) if not p.is_vertex()]
+    if _subset_count(len(candidates), max_size) > budget:
+        raise BudgetExceeded(
+            f"{len(candidates)} candidate paths exceed the subset budget {budget}"
+        )
+    out = []
+    for size in range(1, min(len(candidates), max_size) + 1):
+        for combo in itertools.combinations(candidates, size):
+            fam = PathFamily(graph, v, combo)
+            if branch_is_exhaustive(fam)[0] is Status.EXHAUSTIVE:
+                out.append(fam)
+    out.sort(key=lambda f: f.sort_key())
+    return tuple(out)
 
 
 # -- satiated collections -------------------------------------------------------

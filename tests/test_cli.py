@@ -293,3 +293,27 @@ def test_represent_failed_self_check_exits_2(files, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "boundary representation failed" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("paths", "{omega11}", "0,0", "--depth", "a,b"),
+        ("exhaustive", "check", "{omega11}", "c1:0,0", "--depth", "1,x"),
+        ("paths", "{omega11}", "nosuch", "--depth", "1,1"),
+        ("exhaustive", "enumerate", "{omega11}", "nosuch", "--depth", "1,1"),
+    ],
+    ids=["paths-degree", "check-degree", "paths-vertex", "enumerate-vertex"],
+)
+def test_malformed_values_exit_2(files, capsys, argv):
+    # a non-integer degree or an unknown vertex is a usage error, not a failed check
+    assert main([a.format(**files) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_non_string_generator_token_exits_2(files, tmp_path, capsys):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"families": [[5]]}))
+    assert main(["satiate", files["omega11"], "--generators", str(gens)]) == 2
+    assert "path tokens" in capsys.readouterr().err

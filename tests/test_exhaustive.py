@@ -7,6 +7,7 @@ from kgraphck.degree import Degree
 from kgraphck.errors import BudgetExceeded
 from kgraphck.kgraph import Edge, SkeletonSpec, compose, validate
 from kgraphck.alignment import ext, family
+from kgraphck.boundary import omega
 from kgraphck.exhaustive import (
     Status,
     fe_enumerate,
@@ -173,3 +174,77 @@ def test_upward_closure_regenerates(omega11):
     minimal = minimal_exhaustive(omega11, "0,0", Degree(1, 1), 3)
     for f in fams:
         assert any(m.members <= f.members for m in minimal)
+
+
+# -- differential: one hitting test against the per-branch scans and subset loop -----
+
+
+def _single_loop():
+    """Rank 2, one vertex, one color-1 loop: cyclic but not source-free."""
+    return validate(SkeletonSpec(2, ("v",), (Edge("a", 1, "v", "v"),), ()))
+
+
+# graphs built here; "omega11", "omega21" and "g1" are conftest fixtures
+DIFFERENTIAL = {
+    "omega22": lambda: omega(2, Degree(2, 2)),
+    "omega111": lambda: omega(3, Degree(1, 1, 1)),
+    **{f"b7.{i}": lambda i=i: oracles.random_graphs(7, 6)[i] for i in range(6)},
+    **{
+        f"sv3-s{s}": lambda s=s: validate(
+            oracles.random_single_vertex_spec(random.Random(s), 3)
+        )
+        for s in (0, 1, 3)
+    },
+    "single-loop": _single_loop,
+}
+DIFFERENTIAL_NAMES = ["omega11", "omega21", "g1", *DIFFERENTIAL]
+
+
+def _differential_graph(request, name):
+    """The graph, its windows and --max-size: acyclic graphs take their
+    maximum degree and up to five members, cyclic ones two windows and 3."""
+    g = DIFFERENTIAL[name]() if name in DIFFERENTIAL else request.getfixturevalue(name)
+    if g.is_acyclic:
+        return g, [g.max_degree], 5
+    ones = Degree(*([1] * g.rank))
+    return g, [ones, ones + Degree.unit(g.rank, 1)], 3
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_NAMES)
+def test_is_exhaustive_matches_branch_oracle(request, name):
+    g, windows, _ = _differential_graph(request, name)
+    rng = random.Random(name)
+    for v in g.vertices:
+        for w in windows:
+            pool = [p for p in g.paths_up_to(v, w) if not p.is_vertex()]
+            combos = [c for k in range(3) for c in itertools.combinations(pool, k)]
+            if len(combos) > 200:
+                combos = rng.sample(combos, 200)
+            combos += [tuple(rng.sample(pool, rng.randint(1, len(pool)))) for _ in pool[:10]]
+            for combo in combos:
+                E = family(g, combo, vertex=v)
+                for depth in (None, w):
+                    got = is_exhaustive(E, depth)
+                    assert (got.status, got.witness) == oracles.branch_is_exhaustive(E, depth)
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_NAMES)
+def test_fe_enumerate_matches_subset_oracle(request, name):
+    g, windows, max_size = _differential_graph(request, name)
+    for v in g.vertices:
+        for w in windows:
+            expected = oracles.subset_fe_enumerate(g, v, w, max_size)
+            minimal = [
+                f for f in expected if not any(h.members < f.members for h in expected)
+            ]
+            got = fe_enumerate(g, v, w, max_size)
+            assert [f.sort_key() for f in got] == [f.sort_key() for f in expected]
+            got = minimal_exhaustive(g, v, w, max_size)
+            assert [f.sort_key() for f in got] == [f.sort_key() for f in minimal]
+
+
+def test_cyclic_not_source_free_stays_unknown():
+    g = _single_loop()
+    assert fe_enumerate(g, "v", Degree(2, 1), 3) == ()
+    verdict = is_exhaustive(family(g, [g.edge_path("a")]))
+    assert verdict.status is Status.UNKNOWN and verdict.witness is None

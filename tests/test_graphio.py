@@ -101,5 +101,6 @@ def test_parse_families(omega11):
     fams = parse_families(omega11, doc)
     assert len(fams) == 2
     assert fams[1].vertex == "0,0"
-    with pytest.raises(ParseError):
-        parse_families(omega11, {"families": [[]]})
+    for row in ([], [5], ["c1:0,0", None], [["c1:0,0"]]):
+        with pytest.raises(ParseError, match="nonempty list of path tokens"):
+            parse_families(omega11, {"families": [row]})

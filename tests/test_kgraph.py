@@ -231,6 +231,13 @@ def test_paths_degree_zero(omega11):
     assert omega11.paths("0,0", Degree(0, 0)) == (omega11.vertex_path("0,0"),)
 
 
+def test_paths_unknown_vertex(omega11):
+    # a cache miss on an unknown vertex is a typed error, not a KeyError
+    for degree in (Degree(0, 0), Degree(1, 1)):
+        with pytest.raises(InvalidSpec, match="unknown vertex 'nosuch'"):
+            omega11.paths("nosuch", degree)
+
+
 def test_paths_counts(g1, omega11):
     assert len(g1.paths("v", Degree(2, 1))) == 1
     sq = omega11.paths("0,0", Degree(1, 1))
