@@ -13,6 +13,8 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .degree import Degree
 from .errors import BUDGET_ERRORS, KGraphError, ParseError, PreconditionFailed
@@ -27,12 +29,12 @@ from .boundary import (
     is_aperiodic_path,
 )
 from .formal import FormalElement, gauge_expectation
-from .graphio import parse_families, parse_graph, parse_path
+from .graphio import _require, parse_families, parse_graph, parse_path, read_json
 from .matrices import SparseMatrix
 from .repn import (
     CKFamily,
+    UniquenessHypotheses,
     boundary_rep,
-    check_uniqueness_hypotheses,
     evaluate,
     expectation_contraction_check,
     faithful_on_core_check,
@@ -64,8 +66,7 @@ def _load_collection(graph: KGraph, args) -> FamilyCollection:
     depth = _parse_degree(args.depth, graph.rank) if args.depth else None
     members = []
     if args.generators:
-        with open(args.generators) as fh:
-            members = parse_families(graph, json.load(fh))
+        members = parse_families(graph, read_json(args.generators))
     base = FamilyCollection(
         graph, (), depth=depth, max_family_size=args.max_size, budget=args.budget
     )
@@ -295,14 +296,35 @@ def _bundle_of(T: CKFamily) -> dict:
     }
 
 
-def _bundle_load(graph: KGraph, doc: dict) -> CKFamily:
-    dim = doc["dimension"]
+def _bundle_load(graph: KGraph, doc) -> CKFamily:
+    _require(isinstance(doc, dict), "bundle must be a JSON object")
+    dim = doc.get("dimension")
+    _require(type(dim) is int and dim >= 0, "bundle dimension must be an integer >= 0")
+    _require(isinstance(doc.get("operators"), dict), "bundle operators must map path tokens to rows")
     ops = {}
-    for token, triplets in doc["operators"].items():
+    for token, rows in doc["operators"].items():
         lam = parse_path(graph, token)
-        data = {(int(i), int(j)): Fraction(v) for i, j, v in triplets}
+        _require(isinstance(rows, list), f"rows of {token!r} must be a list")
+        data = {}
+        for row in rows:
+            _require(
+                isinstance(row, list)
+                and len(row) == 3
+                and all(type(x) is int and 0 <= x < dim for x in row[:2]),
+                f"row {row!r} of {token!r} must be [i, j, rational] with 0 <= i, j < {dim}",
+            )
+            try:
+                data[(row[0], row[1])] = Fraction(row[2])
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise ParseError(f"entry {row[2]!r} of {token!r} is not a rational") from None
         ops[lam] = SparseMatrix(dim, dim, data)
-    basis = tuple(parse_path(graph, t) for t in doc["basis"]) if doc.get("basis") else None
+    basis = doc.get("basis")
+    _require(
+        basis is None
+        or (isinstance(basis, list) and len(basis) == dim and all(isinstance(t, str) for t in basis)),
+        f"bundle basis must be null or a list of {dim} path tokens",
+    )
+    basis = tuple(parse_path(graph, t) for t in basis) if basis else None
     return CKFamily(graph, dim, ops, basis=basis)
 
 
@@ -325,14 +347,8 @@ def cmd_verify(args) -> int:
     C = _load_collection(graph, args)
     S = satiate(C)
 
-    def rng_for(tag: str) -> random.Random:
-        # one generator per stage, so a stage's draws do not depend on the
-        # stages before it
-        return random.Random(f"{args.seed}:{tag}")
-
     if args.bundle:
-        with open(args.bundle) as fh:
-            T = _bundle_load(graph, json.load(fh))
+        T = _bundle_load(graph, read_json(args.bundle))
     else:
         T = boundary_rep(graph, S, verify=False)
     if args.backend == "float":
@@ -352,70 +368,54 @@ def cmd_verify(args) -> int:
 
     all_paths = graph.all_paths()
 
-    def relations():
-        rep = verify_family(T, S)
-        return [
-            (r.name, r.deviation <= tol, {"deviation": r.deviation, "detail": r.detail or None})
-            for r in rep.results
-        ]
+    relations = verify_family(T, S)
+    for r in relations.results:
+        report.add(r.name, r.deviation <= tol, deviation=r.deviation, detail=r.detail or None)
 
-    def matrix_units():
-        out = []
-        rng = rng_for("matrix-units")
-        for i in range(args.windows):
-            size = rng.randint(1, 3)
-            window = tuple(rng.sample(all_paths, min(size, len(all_paths))))
-            PiE = pi_closure(window)
-            mu_rep = matrix_unit_check(T, PiE)
-            out.append(
-                (
-                    f"matrix-units[{i}]",
-                    mu_rep.max_deviation() <= tol,
-                    {"grid": mu_rep.pairs, "deviation": mu_rep.max_deviation()},
-                )
-            )
-        return out
+    # one generator per seeded step, so a step's draws do not depend on the
+    # steps before it
+    rng = random.Random(f"{args.seed}:matrix-units")
+    for i in range(args.windows):
+        size = rng.randint(1, 3)
+        window = tuple(rng.sample(all_paths, min(size, len(all_paths))))
+        mu_rep = matrix_unit_check(T, pi_closure(window))
+        report.add(
+            f"matrix-units[{i}]",
+            mu_rep.max_deviation() <= tol,
+            grid=mu_rep.pairs,
+            deviation=mu_rep.max_deviation(),
+        )
 
-    def gaps():
-        out = []
-        ok = True
-        for F in S.universe_all():
-            vanishes = gap_product(T, F.members, F.vertex).is_zero()
-            expected = F in S.members
-            ok = ok and (vanishes == expected)
-        out.append(("gap-products-iff-membership", ok, {}))
-        return out
+    ok = True
+    for F in S.universe_all():
+        vanishes = gap_product(T, F.members, F.vertex).is_zero()
+        ok = ok and (vanishes == (F in S.members))
+    report.add("gap-products-iff-membership", ok)
 
-    def faithful():
-        verdict = faithful_on_core_check(T, S)
-        return [
-            (
-                "faithful-on-core",
-                verdict.faithful and verdict.routes_agree,
-                {
-                    "route_a": verdict.route_a_ok,
-                    "route_b": verdict.route_b_ok,
-                },
-            )
-        ]
+    verdict = faithful_on_core_check(T, S)
+    report.add(
+        "faithful-on-core",
+        verdict.faithful and verdict.routes_agree,
+        route_a=verdict.route_a_ok,
+        route_b=verdict.route_b_ok,
+    )
 
-    def shift_gaps():
-        worst = 0.0
-        rng = rng_for("shift-gaps")
-        for _ in range(50):
-            mu = rng.choice(all_paths)
-            pool = [p for p in all_paths if p.range == mu.range and not p.is_vertex()]
-            E = rng.sample(pool, min(len(pool), rng.randint(0, 3)))
-            worst = max(worst, shift_gaps_check(T, E, mu))
-        return [("shift-gaps", worst <= tol, {"deviation": worst})]
+    worst = 0.0
+    rng = random.Random(f"{args.seed}:shift-gaps")
+    for _ in range(50):
+        mu = rng.choice(all_paths)
+        pool = [p for p in all_paths if p.range == mu.range and not p.is_vertex()]
+        E = rng.sample(pool, min(len(pool), rng.randint(0, 3)))
+        worst = max(worst, shift_gaps_check(T, E, mu))
+    report.add("shift-gaps", worst <= tol, deviation=worst)
 
-    def gauge():
-        if T.basis is None:
-            return [("gauge", None, {"detail": "bundle has no basis labels"})]
+    if T.basis is None:
+        report.add("gauge", None, detail="bundle has no basis labels")
+    else:
         zs = gauge_grid(graph)
         dev = gauge_unitary_check(T, zs)
         worst = 0.0
-        rng = rng_for("gauge")
+        rng = random.Random(f"{args.seed}:gauge")
         for _ in range(5):
             terms = {}
             for _ in range(4):
@@ -424,22 +424,19 @@ def cmd_verify(args) -> int:
                 mu = rng.choice(mates)
                 terms[(lam, mu)] = terms.get((lam, mu), 0) + Fraction(rng.randint(-2, 2))
             a = FormalElement(terms)
-            import numpy as np
-
             avg = sampled_gauge_average(T, a, zs)
             exact = evaluate(gauge_expectation(a), T).to_dense()
             worst = max(worst, float(np.abs(avg - exact).max()))
-        return [
-            ("gauge-unitaries", dev <= 1e-12, {"deviation": dev}),
-            ("gauge-expectation-vs-average", worst <= 1e-9, {"deviation": worst}),
-        ]
+        report.add("gauge-unitaries", dev <= 1e-12, deviation=dev)
+        report.add("gauge-expectation-vs-average", worst <= 1e-9, deviation=worst)
 
-    def contraction():
-        hyp = check_uniqueness_hypotheses(T, S)
-        if not hyp.all_ok:
-            return [("expectation-contraction", None, {"detail": "hypotheses not met"})]
+    # check_uniqueness_hypotheses(T, S), from the relations and route (b) at hand
+    hyp = UniquenessHypotheses(relations.ok, verdict.route_b_ok, condition_c(S).ok)
+    if not hyp.all_ok:
+        report.add("expectation-contraction", None, detail="hypotheses not met")
+    else:
         ok = True
-        rng = rng_for("contraction")
+        rng = random.Random(f"{args.seed}:contraction")
         for _ in range(10):
             terms = {}
             for _ in range(5):
@@ -449,18 +446,11 @@ def cmd_verify(args) -> int:
                 terms[(lam, mu)] = terms.get((lam, mu), 0) + Fraction(rng.randint(-3, 3))
             lhs, rhs = expectation_contraction_check(T, FormalElement(terms), hyp)
             ok = ok and lhs <= rhs + 1e-9
-        return [("expectation-contraction", ok, {})]
+        report.add("expectation-contraction", ok)
 
-    def boundary_existence():
-        ok = True
-        for v in graph.vertices:
-            ok = ok and len(boundary_paths(v, S)) > 0
-        return [("boundary-existence", ok, {})]
-
-    stages = [relations, matrix_units, gaps, faithful, shift_gaps, gauge, contraction, boundary_existence]
-    for stage in stages:
-        for name, ok, extra in stage():
-            report.add(name, ok, **extra)
+    report.add(
+        "boundary-existence", all(len(boundary_paths(v, S)) > 0 for v in graph.vertices)
+    )
 
     report.emit(args.json)
     return 1 if report.failed else 0

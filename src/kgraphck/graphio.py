@@ -68,15 +68,19 @@ def spec_from_dict(doc: Any) -> SkeletonSpec:
     return SkeletonSpec(rank, tuple(vertices), tuple(edges), tuple(squares))
 
 
-def parse_graph(path: str) -> SkeletonSpec:
+def read_json(path: str) -> Any:
+    """The JSON document in a file; an unreadable or malformed file is a ParseError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return spec_from_dict(doc)
+
+
+def parse_graph(path: str) -> SkeletonSpec:
+    return spec_from_dict(read_json(path))
 
 
 def spec_to_dict(spec: SkeletonSpec) -> dict:

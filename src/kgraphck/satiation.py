@@ -407,9 +407,12 @@ def is_satiated(collection: FamilyCollection) -> tuple[bool, list[Violation]]:
     return (not violations, violations)
 
 
-def satiate(
-    collection: FamilyCollection, max_rounds: int = 1_000
-) -> FamilyCollection:
+# rounds after which satiate gives up: the universe is finite, so the fixed
+# point comes well before this unless a closure map is broken
+_SATIATE_ROUNDS = 1_000
+
+
+def satiate(collection: FamilyCollection) -> FamilyCollection:
     """Least satiated collection containing the input, over its universe.
 
     Iterates the composite map sigma4 . sigma3 . sigma2 . sigma1 to its
@@ -424,7 +427,7 @@ def satiate(
     """
     current = collection
     previous: frozenset = frozenset()
-    for _ in range(max_rounds):
+    for _ in range(_SATIATE_ROUNDS):
         delta = current.members - previous
         stepped = sigma1(current, only=delta)
         stepped = sigma2(stepped, only=delta | (stepped.members - current.members))
@@ -434,4 +437,4 @@ def satiate(
             return current
         previous = current.members
         current = stepped
-    raise FixpointBudgetExceeded(f"satiation did not stabilize in {max_rounds} rounds")
+    raise FixpointBudgetExceeded(f"satiation did not stabilize in {_SATIATE_ROUNDS} rounds")

@@ -7,8 +7,14 @@ collections for the closure operator.  Slow on purpose; used on desk-scale
 fixtures only.
 """
 
+# annotations stay strings: perfbench re-imports the package several times, and
+# an evaluated alias such as Sequence[Path] would sit in typing's cache and keep
+# every imported generation alive
+from __future__ import annotations
+
 import itertools
 import random
+from typing import Iterable, Sequence
 
 from kgraphck.degree import Degree, join_all
 from kgraphck.errors import (
@@ -18,8 +24,17 @@ from kgraphck.errors import (
     UniverseTooLarge,
 )
 from kgraphck.kgraph import Edge, Path, SkeletonSpec, compose, segment, validate, vertex_at
-from kgraphck.alignment import PathFamily, ext
+from kgraphck.alignment import PathFamily, ext, pi_closure
+from kgraphck.boundary import condition_c
 from kgraphck.exhaustive import Status, _source_free_from, _subset_count
+from kgraphck.repn import (
+    CKFamily,
+    FaithfulnessVerdict,
+    gap_product,
+    nonzero_theta_pattern,
+    theta,
+    verify_family,
+)
 from kgraphck.satiation import (
     FamilyCollection,
     is_satiated,
@@ -347,6 +362,63 @@ class AxiomClosure:
                 acc = mask if acc is None else acc & mask
         assert acc is not None, "full universe should always qualify"
         return self.members_of(acc)
+
+
+# -- faithfulness and the uniqueness hypotheses ----------------------------------------
+
+
+def per_window_faithful_on_core_check(
+    T: CKFamily,
+    S: FamilyCollection,
+    windows: Iterable[Sequence[Path]] = (),
+) -> FaithfulnessVerdict:
+    """Two routes to injectivity on the degree-fixed subalgebra.
+
+    Route (a): over each window's grid, every universally nonzero matrix
+    unit is nonzero in T.  Route (b): every vertex operator is nonzero and
+    every gap product over a universe family outside S is nonzero.  The
+    supplied windows are augmented with one window per family outside S (the
+    family plus its range vertex), which makes route (a) complete whenever
+    route (b) fails; disagreement therefore indicates a library bug.
+    """
+    g = T.graph
+    windows = [tuple(w) for w in windows]
+    for F in S.universe_all():
+        if F not in S.members:
+            windows.append((g.vertex_path(F.vertex),) + F.sorted_members())
+
+    a_viol: list[str] = []
+    for window in windows:
+        PiE = pi_closure(window)
+        for lam, mu in sorted(nonzero_theta_pattern(S, PiE), key=lambda p: (p[0].sort_key(), p[1].sort_key())):
+            if theta(T, PiE, lam, mu).is_zero():
+                a_viol.append(
+                    f"theta({lam.token()},{mu.token()}) vanished in grid of size {len(PiE)}"
+                )
+
+    b_viol: list[str] = []
+    for v in g.vertices:
+        if T.vertex_op(v).is_zero():
+            b_viol.append(f"vertex operator {v} is zero")
+    for F in S.universe_all():
+        if F not in S.members and gap_product(T, F.members, F.vertex).is_zero():
+            b_viol.append(f"gap product of {F!r} vanished")
+
+    return FaithfulnessVerdict(not a_viol, not b_viol, a_viol, b_viol)
+
+
+def separate_uniqueness_hypotheses(T: CKFamily, S: FamilyCollection):
+    """(relations, vertices nonzero, gaps nonzero, condition (C)), each
+    computed on its own."""
+    report = verify_family(T, S)
+    vertices = all(not T.vertex_op(v).is_zero() for v in T.graph.vertices)
+    gaps = all(
+        not gap_product(T, F.members, F.vertex).is_zero()
+        for F in S.universe_all()
+        if F not in S.members
+    )
+    cond = condition_c(S).ok
+    return (report.ok, vertices, gaps, cond)
 
 
 # -- boundary paths -----------------------------------------------------------------

@@ -317,3 +317,81 @@ def test_non_string_generator_token_exits_2(files, tmp_path, capsys):
     gens.write_text(json.dumps({"families": [[5]]}))
     assert main(["satiate", files["omega11"], "--generators", str(gens)]) == 2
     assert "path tokens" in capsys.readouterr().err
+
+
+def test_verify_reports_unfaithful_bundle(files, tmp_path, capsys):
+    # the representation of a larger collection, checked against the empty one
+    bundle = tmp_path / "bundle.json"
+    argv = ["represent", files["omega11"], "--generators", files["gens"], "--out", str(bundle)]
+    assert main(argv) == 0
+    assert main(["verify", files["omega11"], "--bundle", str(bundle), "--json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [r["name"] for r in results] == [
+        "TCK1",
+        "TCK2",
+        "TCK3",
+        "CK",
+        *(f"matrix-units[{i}]" for i in range(5)),
+        "gap-products-iff-membership",
+        "faithful-on-core",
+        "shift-gaps",
+        "gauge-unitaries",
+        "gauge-expectation-vs-average",
+        "expectation-contraction",
+        "boundary-existence",
+    ]
+    by_name = {r["name"]: r for r in results}
+    assert by_name["gap-products-iff-membership"]["status"] == "fail"
+    assert by_name["faithful-on-core"] == {
+        "name": "faithful-on-core",
+        "status": "fail",
+        "route_a": False,
+        "route_b": False,
+    }
+    assert by_name["expectation-contraction"] == {
+        "name": "expectation-contraction",
+        "status": "info",
+        "detail": "hypotheses not met",
+    }
+
+
+def _set_entry(doc, index, value):
+    doc["operators"]["0,0"][0][index] = value
+
+
+@pytest.mark.parametrize(
+    "argv, edit",
+    [
+        (("satiate", "{omega11}", "--generators", "{missing}"), None),
+        (("verify", "{omega11}", "--bundle", "{missing}"), None),
+        (("verify", "{omega11}", "--bundle", "{bundle}"), "not json"),
+        (("verify", "{omega11}", "--bundle", "{bundle}"), lambda doc: doc.pop("operators")),
+        (("verify", "{omega11}", "--bundle", "{bundle}"), lambda doc: _set_entry(doc, 2, "x")),
+        (("verify", "{omega11}", "--bundle", "{bundle}"), lambda doc: _set_entry(doc, 1, doc["dimension"])),
+        (("verify", "{omega11}", "--bundle", "{bundle}"), lambda doc: doc["basis"].pop()),
+    ],
+    ids=[
+        "generators-missing",
+        "bundle-missing",
+        "bundle-not-json",
+        "bundle-no-operators",
+        "bundle-entry-not-rational",
+        "bundle-index-out-of-range",
+        "bundle-basis-length",
+    ],
+)
+def test_unreadable_or_malformed_input_file_exits_2(files, tmp_path, capsys, argv, edit):
+    # a bad input file is a usage error, not a failed check; each bad bundle
+    # is a valid one with one defect
+    bundle = tmp_path / "bundle.json"
+    assert main(["represent", files["omega11"], "--out", str(bundle)]) == 0
+    if isinstance(edit, str):
+        bundle.write_text(edit)
+    elif edit is not None:
+        doc = json.loads(bundle.read_text())
+        edit(doc)
+        bundle.write_text(json.dumps(doc))
+    names = dict(files, missing=str(tmp_path / "nosuch.json"), bundle=str(bundle))
+    assert main([a.format(**names) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

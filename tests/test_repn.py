@@ -16,7 +16,7 @@ from kgraphck.satiation import (
     member,
     satiate,
 )
-from kgraphck.boundary import boundary_paths
+from kgraphck.boundary import boundary_paths, omega
 from kgraphck.formal import FormalElement, gauge_expectation
 from kgraphck.matrices import SparseMatrix
 from kgraphck.repn import (
@@ -30,6 +30,7 @@ from kgraphck.repn import (
     gap_product,
     gauge_grid,
     gauge_unitary_check,
+    grid_tails,
     matrix_unit_check,
     nonzero_theta_pattern,
     sampled_gauge_average,
@@ -38,6 +39,7 @@ from kgraphck.repn import (
     verify_family,
 )
 
+import oracles
 from test_formal import random_element
 
 
@@ -398,6 +400,76 @@ def test_zero_family_not_faithful(omega11):
     verdict = faithful_on_core_check(Z, S)
     assert not verdict.faithful
     assert any("vertex" in v for v in verdict.route_b_violations)
+
+
+# -- differential: each matrix unit once, against the per-window check ----------------------
+
+
+# "omega11" and "omega21" are conftest fixtures; the batch-7 members are the
+# acyclic ones of oracles.random_graphs(7, 6) whose universe is small
+FAITHFUL_DIFFERENTIAL = {
+    "omega22": lambda: omega(2, Degree(2, 2)),
+    "omega111": lambda: omega(3, Degree(1, 1, 1)),
+    **{f"b7.{i}": lambda i=i: oracles.random_graphs(7, 6)[i] for i in (0, 1, 3)},
+}
+
+
+def _oracle_verdict(monkeypatch, T, S):
+    """The per-window verdict, and its route (a) violations with each
+    repeated matrix unit (lam, mu, tails of lam in the grid) dropped."""
+    vanished = []
+
+    def recording_theta(T, PiE, lam, mu):
+        mat = theta(T, PiE, lam, mu)
+        if mat.is_zero():
+            vanished.append((lam, mu, grid_tails(PiE, lam)))
+        return mat
+
+    monkeypatch.setattr(oracles, "theta", recording_theta)
+    verdict = oracles.per_window_faithful_on_core_check(T, S)
+    monkeypatch.undo()
+    assert len(vanished) == len(verdict.route_a_violations)
+    seen = set()
+    first = []
+    for text, unit in zip(verdict.route_a_violations, vanished):
+        if unit not in seen:
+            seen.add(unit)
+            first.append(text)
+    return verdict, first
+
+
+@pytest.mark.parametrize("name", ["omega11", "omega21", *FAITHFUL_DIFFERENTIAL])
+def test_faithful_matches_per_window_oracle(request, monkeypatch, name):
+    if name in FAITHFUL_DIFFERENTIAL:
+        g = FAITHFUL_DIFFERENTIAL[name]()
+    else:
+        g = request.getfixturevalue(name)
+    universe = FamilyCollection(g).universe_all()
+    chain = [
+        satiate(FamilyCollection(g)),
+        satiate(FamilyCollection(g, [random.Random(name).choice(universe)])),
+        full_fe_collection(g),
+    ]
+    reps = [boundary_rep(g, S) for S in chain]
+    pairs = list(zip(reps, chain))
+    pairs += [
+        (reps[j], chain[i])
+        for i, j in ((0, 1), (0, 2), (1, 2))
+        if chain[i].members < chain[j].members
+    ]
+    pairs += [(zero_family(g), S) for S in chain]
+    failing = 0
+    for T, S in pairs:
+        new = faithful_on_core_check(T, S)
+        old, old_route_a = _oracle_verdict(monkeypatch, T, S)
+        assert new.route_a_ok == old.route_a_ok
+        assert new.route_b_ok == old.route_b_ok
+        assert new.route_b_violations == old.route_b_violations
+        assert new.route_a_violations == old_route_a
+        hyp = check_uniqueness_hypotheses(T, S)
+        assert hyp.all_ok == all(oracles.separate_uniqueness_hypotheses(T, S))
+        failing += not new.faithful
+    assert failing >= 3
 
 
 # -- shift gaps -----------------------------------------------------------------------------
