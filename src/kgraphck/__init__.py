@@ -56,6 +56,7 @@ from .repn import (
     faithful_on_core_check,
     formal_theta,
     gap_product,
+    gap_vanishing,
     gauge_grid,
     gauge_unitary_check,
     matrix_unit_check,

@@ -342,10 +342,13 @@ def condition_c(S: FamilyCollection) -> ConditionCReport:
 
     For each vertex an aperiodic boundary path must exist, and for each
     universe family F outside the collection an aperiodic boundary path
-    avoiding every initial segment from F; failures list the (vertex,
-    family) pairs with no witness.
+    avoiding every initial segment from F (the first such path is the
+    witness); failures list the (vertex, family) pairs with no witness.
+    Each aperiodic path's initial segments are listed once, so a family
+    escapes a path when it is disjoint from that set.
     """
     g = S.graph
+    zero = Degree.zero(g.rank)
     vertex_witnesses: dict[str, Path] = {}
     avoidance_witnesses: dict[tuple[str, PathFamily], Path] = {}
     failures: list[tuple[str, PathFamily | None]] = []
@@ -356,14 +359,15 @@ def condition_c(S: FamilyCollection) -> ConditionCReport:
             vertex_witnesses[v] = aperiodic[0]
         else:
             failures.append((v, None))
+        prefixes = [
+            (x, frozenset(segment(x, zero, n) for n in x.degree.below())) for x in aperiodic
+        ]
         for F in S.universe(v):
             if F in S.members:
                 continue
-            escaping = [
-                x for x in aperiodic if not has_prefix_in(x, F.members)
-            ]
-            if escaping:
-                avoidance_witnesses[(v, F)] = escaping[0]
+            witness = next((x for x, pre in prefixes if F.members.isdisjoint(pre)), None)
+            if witness is not None:
+                avoidance_witnesses[(v, F)] = witness
             else:
                 failures.append((v, F))
     return ConditionCReport(

@@ -5,6 +5,15 @@ prepending; all defining relations hold exactly there with 0/1 rational
 entries.  Matrix-unit grids realize the finite-dimensional pieces of the
 degree-fixed subalgebra; the faithfulness checks compare the combinatorial
 nonzero pattern of the universal grid against a concrete family.
+
+The checks do work in proportion to the antichain edges and the distinct
+grids, not the universe.  When TCK1-TCK3 hold (checked once per family),
+the gap product is antitone in the family, so "the gap products vanish
+exactly on S" is decided at the minimal members of S and the maximal
+families outside it (:func:`gap_vanishing`), falling back to every universe
+family otherwise.  The faithfulness check builds each window's grid by
+extending the grid of its prefix, examines each distinct grid once and
+computes each row index's tails once per grid.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .kgraph import KGraph, Path, compose, path_sort_key, _split
-from .alignment import PathFamily, ext, lambda_min, pairs_ds, pi_closure
+from .alignment import _CLOSURE_BUDGET, PathFamily, _close, ext, lambda_min, pairs_ds
 from .satiation import FamilyCollection, Membership, member
 from .boundary import boundary_paths, condition_c
 from .formal import FormalElement, formal_mul, gauge_expectation
@@ -56,6 +65,20 @@ class CKFamily:
         self.dim = dim
         self.ops = dict(ops)
         self.basis = basis
+        self._relations: tuple[CheckResult, ...] | None = None
+
+    def relation_checks(self) -> tuple[CheckResult, ...]:
+        """TCK1-TCK3 for this family, checked on first use and then kept
+        (the operators are fixed at construction)."""
+        if self._relations is None:
+            self._relations = _relation_checks(self)
+        return self._relations
+
+    def is_rational(self) -> bool:
+        """Whether every operator entry is an exact rational."""
+        return all(
+            isinstance(v, Fraction) for mat in self.ops.values() for v in mat.data.values()
+        )
 
     def op(self, lam: Path) -> SparseMatrix:
         mat = self.ops.get(lam)
@@ -132,19 +155,11 @@ def _dev(diff: SparseMatrix) -> float:
     return diff.max_abs()
 
 
-def verify_family(
-    T: CKFamily, generators: Iterable[PathFamily] | FamilyCollection = ()
-) -> FamilyReport:
-    """Check the partial-isometry relations and the gap relation.
-
-    The four checks: vertex operators are mutually orthogonal projections;
-    composition is multiplicative; adjoint cross-terms expand over minimal
-    common extensions; and the gap product vanishes for every generator
-    family.  Exact for rational entries.
-    """
+def _relation_checks(T: CKFamily) -> tuple[CheckResult, ...]:
+    """TCK1-TCK3, each with its worst deviation and where it occurred."""
     g = T.graph
     paths = g.all_paths()
-    report = FamilyReport(degenerate=T.is_degenerate())
+    results = []
 
     worst = 0.0
     bad = ""
@@ -158,7 +173,7 @@ def verify_family(
                 d = _dev(tv @ T.vertex_op(w))
                 if d > worst:
                     worst, bad = d, f"overlap of {v} and {w}"
-    report.results.append(CheckResult("TCK1", worst == 0.0, worst, bad))
+    results.append(CheckResult("TCK1", worst == 0.0, worst, bad))
 
     worst = 0.0
     bad = ""
@@ -169,7 +184,7 @@ def verify_family(
             d = _dev(T.op(lam) @ T.op(mu) - T.op(compose(lam, mu)))
             if d > worst:
                 worst, bad = d, f"({lam.token()}, {mu.token()})"
-    report.results.append(CheckResult("TCK2", worst == 0.0, worst, bad))
+    results.append(CheckResult("TCK2", worst == 0.0, worst, bad))
 
     worst = 0.0
     bad = ""
@@ -182,8 +197,22 @@ def verify_family(
             d = _dev(lhs - rhs)
             if d > worst:
                 worst, bad = d, f"({lam.token()}, {mu.token()})"
-    report.results.append(CheckResult("TCK3", worst == 0.0, worst, bad))
+    results.append(CheckResult("TCK3", worst == 0.0, worst, bad))
+    return tuple(results)
 
+
+def verify_family(
+    T: CKFamily, generators: Iterable[PathFamily] | FamilyCollection = ()
+) -> FamilyReport:
+    """Check the partial-isometry relations and the gap relation.
+
+    The four checks: vertex operators are mutually orthogonal projections;
+    composition is multiplicative; adjoint cross-terms expand over minimal
+    common extensions; and the gap product vanishes for every generator
+    family.  Exact for rational entries.  The first three depend on the
+    family alone and are computed once per family (``relation_checks``).
+    """
+    report = FamilyReport(list(T.relation_checks()), degenerate=T.is_degenerate())
     members = generators.members if isinstance(generators, FamilyCollection) else generators
     worst = 0.0
     bad = ""
@@ -326,6 +355,22 @@ def matrix_unit_check(T: CKFamily, PiE: Sequence[Path]) -> MatrixUnitReport:
     return MatrixUnitReport(adjoint_dev, product_dev, span_dev, len(grid))
 
 
+def _grid_pattern(
+    S: FamilyCollection, PiE: Sequence[Path]
+) -> list[tuple[Path, Path, tuple[Path, ...]]]:
+    """(lam, mu, tails of lam) for the universally nonzero grid pairs, in
+    pair order; the tails of each lam are computed once."""
+    if not S.exact:
+        raise InexactUniverse("the vanishing pattern needs an exact universe")
+    tails = {lam: grid_tails(PiE, lam) for lam in PiE}
+    nonzero = {
+        lam
+        for lam, nus in tails.items()
+        if member(PathFamily(lam.graph, lam.source, nus), S) is not Membership.YES
+    }
+    return [(lam, mu, tails[lam]) for lam, mu in pairs_ds(PiE) if lam in nonzero]
+
+
 def nonzero_theta_pattern(
     S: FamilyCollection, PiE: Sequence[Path]
 ) -> frozenset[tuple[Path, Path]]:
@@ -335,14 +380,69 @@ def nonzero_theta_pattern(
     row index belongs to the collection; empty or non-exhaustive tail
     families never do.  Needs an exact universe for definite membership.
     """
-    if not S.exact:
-        raise InexactUniverse("the vanishing pattern needs an exact universe")
-    out = set()
-    for lam, mu in pairs_ds(PiE):
-        tails = PathFamily(lam.graph, lam.source, grid_tails(PiE, lam))
-        if member(tails, S) is not Membership.YES:
-            out.add((lam, mu))
-    return frozenset(out)
+    return frozenset((lam, mu) for lam, mu, _ in _grid_pattern(S, PiE))
+
+
+# -- gap products against membership ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GapVanishing:
+    """Where the gap products of the universe families vanish, against S."""
+
+    members_vanish: bool
+    vanished_outside: tuple[PathFamily, ...]  # in universe order
+
+    @property
+    def iff_membership(self) -> bool:
+        return self.members_vanish and not self.vanished_outside
+
+
+def _vanishes(T: CKFamily, F: PathFamily) -> bool:
+    return gap_product(T, F.members, F.vertex).is_zero()
+
+
+def _maximal_outside(S: FamilyCollection):
+    """Universe families F outside S with F u {p} in S for every candidate p
+    not in F (on an exact universe every such union is a universe family)."""
+    for v in S.graph.vertices:
+        inside = {E.members for E in S.at(v)}
+        candidates = [p for p in S.window_paths(v) if not p.is_vertex()]
+        for F in S.universe(v):
+            if F.members not in inside and all(
+                F.members | {p} in inside for p in candidates if p not in F.members
+            ):
+                yield F
+
+
+def gap_vanishing(T: CKFamily, S: FamilyCollection) -> GapVanishing:
+    """Whether the gap product of every member of S vanishes, and the
+    universe families outside S whose gap product vanishes.
+
+    When TCK1-TCK3 hold the range projections at a vertex commute, so the
+    gap product of F is a projection antitone in F.  On an exact universe
+    with rational entries it then suffices to look at the antichain edges:
+    the members vanish iff the minimal members do, and no family outside S
+    vanishes if no maximal family outside S does (every family outside S
+    lies below one).  Otherwise, or when a maximal family outside S does
+    vanish, every universe family is checked.
+    """
+    universe = S.universe_all()  # listed first on both paths: an oversized universe fails here
+    if S.exact and T.is_rational() and all(r.ok for r in T.relation_checks()):
+        if not any(_vanishes(T, F) for F in _maximal_outside(S)):
+            members_vanish = all(
+                _vanishes(T, E) for v in S.graph.vertices for E in S.minimal_at(v)
+            )
+            return GapVanishing(members_vanish, ())
+    members_vanish = True
+    outside = []
+    for F in universe:
+        vanishes = _vanishes(T, F)
+        if F in S.members:
+            members_vanish = members_vanish and vanishes
+        elif vanishes:
+            outside.append(F)
+    return GapVanishing(members_vanish, tuple(outside))
 
 
 # -- faithfulness --------------------------------------------------------------------
@@ -364,12 +464,10 @@ class FaithfulnessVerdict:
         return self.route_a_ok == self.route_b_ok
 
 
-def _route_b(T: CKFamily, S: FamilyCollection) -> list[str]:
+def _route_b(T: CKFamily, gaps: GapVanishing) -> list[str]:
     """Zero vertex operators, and vanished gap products of families outside S."""
     out = [f"vertex operator {v} is zero" for v in T.graph.vertices if T.vertex_op(v).is_zero()]
-    for F in S.universe_all():
-        if F not in S.members and gap_product(T, F.members, F.vertex).is_zero():
-            out.append(f"gap product of {F!r} vanished")
+    out += [f"gap product of {F!r} vanished" for F in gaps.vanished_outside]
     return out
 
 
@@ -381,24 +479,44 @@ def faithful_on_core_check(T: CKFamily, S: FamilyCollection) -> FaithfulnessVerd
     vertex), which makes route (a) complete whenever route (b) fails;
     disagreement therefore indicates a library bug.  A matrix unit depends
     only on its indices and the tails of its row index in the grid, so each
-    distinct unit is checked once and reported with the size of the first
-    grid it appears in.  Route (b): every vertex operator is nonzero and
-    every gap product over a universe family outside S is nonzero.
+    distinct grid is examined once and each distinct unit checked once,
+    reported with the size of the first grid it appears in.  Each window's
+    grid extends the grid of its window minus the last member, so windows
+    sharing a prefix share its closure.  Route (b): every vertex operator is
+    nonzero and every gap product over a universe family outside S is
+    nonzero (see :func:`gap_vanishing`).
     """
     g = T.graph
+    closures: dict[tuple[Path, ...], frozenset[Path]] = {(): frozenset()}
+    grids: set[frozenset[Path]] = set()
     first_grid: dict[tuple[Path, Path, tuple[Path, ...]], tuple[Path, ...]] = {}
     for F in S.universe_all():
         if F in S.members:
             continue
-        PiE = pi_closure((g.vertex_path(F.vertex),) + F.sorted_members())
-        for lam, mu in sorted(nonzero_theta_pattern(S, PiE), key=lambda p: (p[0].sort_key(), p[1].sort_key())):
-            first_grid.setdefault((lam, mu, grid_tails(PiE, lam)), PiE)
-    a_viol = [
-        f"theta({lam.token()},{mu.token()}) vanished in grid of size {len(PiE)}"
-        for (lam, mu, _), PiE in first_grid.items()
-        if theta(T, PiE, lam, mu).is_zero()
-    ]
-    b_viol = _route_b(T, S)
+        window = (g.vertex_path(F.vertex),) + F.sorted_members()
+        for k in range(1, len(window) + 1):
+            if window[:k] not in closures:
+                base = closures[window[: k - 1]]
+                closures[window[:k]] = _close(base, window[k - 1 : k], _CLOSURE_BUDGET)
+        grid = closures[window]
+        if grid in grids:
+            continue
+        grids.add(grid)
+        PiE = tuple(sorted(grid, key=path_sort_key))
+        for lam, mu, tails in _grid_pattern(S, PiE):
+            first_grid.setdefault((lam, mu, tails), PiE)
+    # theta(T, PiE, lam, mu), with the gap product of each tail family once
+    gaps: dict[tuple[str, tuple[Path, ...]], SparseMatrix] = {}
+    a_viol = []
+    for (lam, mu, tails), PiE in first_grid.items():
+        key = (lam.source, tails)
+        if key not in gaps:
+            gaps[key] = gap_product(T, tails, lam.source)
+        if (T.op(lam) @ gaps[key] @ T.op(mu).adjoint()).is_zero():
+            a_viol.append(
+                f"theta({lam.token()},{mu.token()}) vanished in grid of size {len(PiE)}"
+            )
+    b_viol = _route_b(T, gap_vanishing(T, S))
     return FaithfulnessVerdict(not a_viol, not b_viol, a_viol, b_viol)
 
 
@@ -433,7 +551,9 @@ class UniquenessHypotheses:
 
 def check_uniqueness_hypotheses(T: CKFamily, S: FamilyCollection) -> UniquenessHypotheses:
     """Verified relations, route (b) of the faithfulness check, and condition (C)."""
-    return UniquenessHypotheses(verify_family(T, S).ok, not _route_b(T, S), condition_c(S).ok)
+    return UniquenessHypotheses(
+        verify_family(T, S).ok, not _route_b(T, gap_vanishing(T, S)), condition_c(S).ok
+    )
 
 
 def expectation_contraction_check(

@@ -18,6 +18,7 @@ prefix and yielded once per distinct family.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -243,6 +244,17 @@ def _window_mus(collection: FamilyCollection, fam: PathFamily):
             yield mu
 
 
+def _require_truncation_budget(fam: PathFamily, budget: int) -> None:
+    """Raise when the choice vectors 0 < n_lam <= d(lam) outnumber the budget."""
+    count = 1
+    for p in fam.members:
+        count *= math.prod(c + 1 for c in p.degree.coords) - 1
+    if count > budget:
+        raise UniverseTooLarge(
+            f"{count} truncation vectors for {fam!r} exceed the budget {budget}"
+        )
+
+
 def _truncations(fam: PathFamily, budget: int | None = None):
     """The distinct families {lam(0, n_lam)} over choices 0 < n_lam <= d(lam).
 
@@ -252,17 +264,12 @@ def _truncations(fam: PathFamily, budget: int | None = None):
     first choice vector.  The budget counts choice vectors and is checked
     before any prefix is cut.
     """
+    if budget is not None:
+        _require_truncation_budget(fam, budget)
     members = fam.sorted_members()
     per_member = [
         [n for n in p.degree.below() if not n.is_zero()] for p in members
     ]
-    count = 1
-    for opts in per_member:
-        count *= len(opts)
-    if budget is not None and count > budget:
-        raise UniverseTooLarge(
-            f"{count} truncation vectors for {fam!r} exceed the budget {budget}"
-        )
     zero = Degree.zero(fam.graph.rank)
     index: dict[Path, int] = {}
     options = [
@@ -342,11 +349,17 @@ def sigma3(
 ) -> FamilyCollection:
     """Truncations of each member family along positive degree choices.
 
-    ``only`` restricts the members mapped, as in ``sigma1``.
+    ``only`` restricts the members mapped, as in ``sigma1``.  Every mapped
+    family's vector count is checked against the budget, in family order,
+    before any truncation is built, so the family a budget error names does
+    not depend on set iteration order.
     """
     out = set(collection.members)
-    for fam in collection.members if only is None else only:
-        for target in _truncations(fam, budget=collection.budget):
+    fams = sorted(collection.members if only is None else only, key=lambda f: f.sort_key())
+    for fam in fams:
+        _require_truncation_budget(fam, collection.budget)
+    for fam in fams:
+        for target in _truncations(fam):
             _add(out, _check_family(collection, target))
     return collection.with_members(out)
 

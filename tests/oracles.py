@@ -19,17 +19,28 @@ from typing import Iterable, Sequence
 from kgraphck.degree import Degree, join_all
 from kgraphck.errors import (
     BudgetExceeded,
+    ClosureBudgetExceeded,
     FixpointBudgetExceeded,
     InexactUniverse,
     UniverseTooLarge,
 )
-from kgraphck.kgraph import Edge, Path, SkeletonSpec, compose, segment, validate, vertex_at
-from kgraphck.alignment import PathFamily, ext, pi_closure
-from kgraphck.boundary import condition_c
+from kgraphck.kgraph import (
+    Edge,
+    Path,
+    SkeletonSpec,
+    compose,
+    path_sort_key,
+    segment,
+    validate,
+    vertex_at,
+)
+from kgraphck.alignment import PathFamily, ext, has_prefix_in, pairs_ds, pi_closure
+from kgraphck.boundary import ConditionCReport, boundary_paths, condition_c, is_aperiodic_path
 from kgraphck.exhaustive import Status, _source_free_from, _subset_count
 from kgraphck.repn import (
     CKFamily,
     FaithfulnessVerdict,
+    GapVanishing,
     gap_product,
     nonzero_theta_pattern,
     theta,
@@ -134,6 +145,29 @@ def brute_pi_closure(members):
         if additions <= closed:
             return closed
         closed |= additions
+
+
+def naive_pi_closure(members, budget=100_000):
+    """The grid closure by rounds: every matched pair against every sigma of
+    the previous round's snapshot, until a round adds nothing.  Counts every
+    (lam, mu, sigma, alpha) step of every round against the budget."""
+    closed = set(members)
+    work = True
+    steps = 0
+    while work:
+        work = False
+        snapshot = sorted(closed, key=path_sort_key)
+        for lam, mu in pairs_ds(snapshot):
+            for sigma in snapshot:
+                for alpha in ext(mu, [s for s in (sigma,) if s.range == mu.range]):
+                    steps += 1
+                    if steps > budget:
+                        raise ClosureBudgetExceeded(f"pi_closure exceeded {budget} steps")
+                    cand = compose(lam, alpha)
+                    if cand not in closed:
+                        closed.add(cand)
+                        work = True
+    return tuple(sorted(closed, key=path_sort_key))
 
 
 def brute_is_exhaustive(E, window_paths):
@@ -405,6 +439,44 @@ def per_window_faithful_on_core_check(
             b_viol.append(f"gap product of {F!r} vanished")
 
     return FaithfulnessVerdict(not a_viol, not b_viol, a_viol, b_viol)
+
+
+def per_family_condition_c(S: FamilyCollection) -> ConditionCReport:
+    """condition_c with each family's escape test run as a prefix search
+    (``has_prefix_in``) over every aperiodic boundary path."""
+    g = S.graph
+    vertex_witnesses = {}
+    avoidance_witnesses = {}
+    failures = []
+    for v in g.vertices:
+        bps = [bp.path for bp in boundary_paths(v, S)]
+        aperiodic = [x for x in bps if is_aperiodic_path(x)]
+        if aperiodic:
+            vertex_witnesses[v] = aperiodic[0]
+        else:
+            failures.append((v, None))
+        for F in S.universe(v):
+            if F in S.members:
+                continue
+            escaping = [x for x in aperiodic if not has_prefix_in(x, F.members)]
+            if escaping:
+                avoidance_witnesses[(v, F)] = escaping[0]
+            else:
+                failures.append((v, F))
+    return ConditionCReport(not failures, vertex_witnesses, avoidance_witnesses, tuple(failures))
+
+
+def universe_gap_vanishing(T: CKFamily, S: FamilyCollection) -> GapVanishing:
+    """gap_vanishing by computing the gap product of every universe family."""
+    members_vanish = True
+    outside = []
+    for F in S.universe_all():
+        vanishes = gap_product(T, F.members, F.vertex).is_zero()
+        if F in S.members:
+            members_vanish = members_vanish and vanishes
+        elif vanishes:
+            outside.append(F)
+    return GapVanishing(members_vanish, tuple(outside))
 
 
 def separate_uniqueness_hypotheses(T: CKFamily, S: FamilyCollection):

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from kgraphck.degree import Degree
-from kgraphck.errors import RangeMismatch
-from kgraphck.kgraph import compose, segment
+from kgraphck.errors import ClosureBudgetExceeded, RangeMismatch
+from kgraphck.kgraph import compose, segment, validate
 from kgraphck.alignment import (
     PathFamily,
+    _close,
     ext,
     ext_family,
     family,
@@ -256,6 +257,86 @@ def test_pi_closure_posts(omega21):
             for mu in G:
                 for pair in lambda_min(lam, mu):
                     assert compose(lam, pair.alpha) in Gset
+
+
+def _closure_windows():
+    """(graph name, window) pairs on grids and acyclic batch-7 graphs: a
+    family outside the empty collection plus its range vertex (the windows
+    of the faithfulness check), and random path sets with several ranges; on
+    single-vertex rank-3 graphs (cyclic), random path sets from a window."""
+    from kgraphck.boundary import omega
+    from kgraphck.satiation import FamilyCollection
+
+    rng = random.Random(29)
+    batch = oracles.random_graphs(7, 6)
+    out = []
+    for name, g in (
+        ("omega21", omega(2, Degree(2, 1))),
+        ("omega22", omega(2, Degree(2, 2))),
+        ("b7.0", batch[0]),
+        ("b7.1", batch[1]),
+        ("b7.2", batch[2]),
+        ("b7.3", batch[3]),
+    ):
+        universe = FamilyCollection(g).universe_all()
+        for F in rng.sample(universe, min(8, len(universe))):
+            out.append((name, (g.vertex_path(F.vertex),) + F.sorted_members()))
+        for _ in range(8):
+            out.append((name, tuple(rng.sample(g.all_paths(), rng.randint(2, 4)))))
+    for seed in (0, 1, 3):
+        g = validate(oracles.random_single_vertex_spec(random.Random(seed), 3))
+        pool = list(g.paths_up_to("v", Degree(1, 1, 1)))
+        for _ in range(8):
+            out.append((f"sv3-s{seed}", tuple(rng.sample(pool, rng.randint(1, 4)))))
+    # cyclic graphs of the second batch, where larger windows need the
+    # triples whose last-added path is sigma
+    for i, g in enumerate(oracles.random_graphs(31, 12)):
+        if g.is_acyclic:
+            continue
+        ones = Degree(*([1] * g.rank))
+        pool = [p for v in g.vertices for p in g.paths_up_to(v, ones)]
+        for _ in range(20):
+            out.append((f"b31.{i}", tuple(rng.sample(pool, min(len(pool), rng.randint(3, 5))))))
+    return out
+
+
+CLOSURE_WINDOWS = _closure_windows()
+
+
+def test_pi_closure_matches_naive_and_brute():
+    for i, (name, window) in enumerate(CLOSURE_WINDOWS):
+        got = pi_closure(window)
+        assert got == oracles.naive_pi_closure(window), (name, window)
+        if i % 4 == 0:  # the brute-force closure is slow
+            assert set(got) == oracles.brute_pi_closure(window), (name, window)
+
+
+def test_prefix_closures_match_per_window_closure():
+    # extending the closure of a window's prefix by its next path gives the
+    # closure of the longer prefix
+    for name, window in CLOSURE_WINDOWS:
+        grid = frozenset()
+        for k, p in enumerate(window):
+            grid = _close(grid, (p,), 100_000)
+            assert grid == frozenset(pi_closure(window[: k + 1])), (name, window[: k + 1])
+
+
+def test_pi_closure_budget_counts_each_step_once():
+    # the budget counts the (lam, mu, sigma, alpha) steps over the closed set,
+    # each once; the round-based closure counts at least as many
+    for name, window in CLOSURE_WINDOWS[::4]:
+        grid = pi_closure(window)
+        steps = sum(
+            len(ext(mu, [sigma]))
+            for lam, mu in pairs_ds(grid)
+            for sigma in grid
+            if sigma.range == mu.range
+        )
+        assert pi_closure(window, budget=steps) == grid
+        with pytest.raises(ClosureBudgetExceeded):
+            pi_closure(window, budget=steps - 1)
+        with pytest.raises(ClosureBudgetExceeded):
+            oracles.naive_pi_closure(window, budget=steps - 1)
 
 
 # -- pairs_ds -----------------------------------------------------------------------

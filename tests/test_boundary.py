@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kgraphck.degree import Degree
@@ -34,6 +36,7 @@ from kgraphck.boundary import (
     separation_degree,
 )
 
+import oracles
 from oracles import is_boundary_full_check
 
 
@@ -359,6 +362,23 @@ def test_condition_c_clean_on_grids(omega11, omega21, omega13):
             report = condition_c(S)
             assert report.ok
             assert set(report.vertex_witnesses) == set(g.vertices)
+
+
+@pytest.mark.parametrize("name", ["omega22", "omega32", "b7.0", "b7.2", "b7.3"])
+def test_condition_c_matches_per_family_oracle(name):
+    # same ok flag, witnesses (the first escaping path) and failures
+    if name.startswith("omega"):
+        g = omega(2, Degree(int(name[5]), int(name[6])))
+    else:
+        g = oracles.random_graphs(7, 6)[int(name[3])]
+    base = FamilyCollection(g)
+    if name == "omega32":
+        # families at 0,0 satiate past the truncation budget
+        draw = family(g, [g.edge_path("c1:1,1")])
+    else:
+        draw = random.Random(name).choice(base.universe_all())
+    for S in (satiate(base), satiate(base.with_members([draw]))):
+        assert condition_c(S) == oracles.per_family_condition_c(S)
 
 
 def test_condition_c_single_edge_line():

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kgraphck
 from kgraphck.cli import main
 from kgraphck.degree import Degree
 from kgraphck.boundary import omega
@@ -89,6 +93,9 @@ def test_mce_ext_pi_closure(files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert "c1:0,0.c2:1,0" in doc["results"][0]["paths"]
 
+    assert main(["pi-closure", files["omega11"], "c1:0,0", "c2:0,0", "--budget", "1"]) == 3
+    assert "pi_closure exceeded 1 steps" in capsys.readouterr().err
+
 
 def test_exhaustive_check_and_enumerate(files, capsys):
     assert main(["exhaustive", "check", files["omega11"], "c1:0,0"]) == 0
@@ -136,6 +143,30 @@ def test_budget_exit_code(files, capsys):
         )
         == 3
     )
+
+
+def test_truncation_budget_message_independent_of_hash_seed(tmp_path):
+    # several families at 0,0 of omega(2,(2,2)) exceed 300 truncation vectors
+    # in sigma3's first round; the one named is the first in family order
+    g = omega(2, Degree(2, 2))
+    graph = tmp_path / "omega22.json"
+    graph.write_text(emit_graph(g.spec))
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"families": [[g.paths("0,0", Degree(2, 2))[0].token()]]}))
+    src = os.path.dirname(os.path.dirname(kgraphck.__file__))
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        runs.append(
+            subprocess.run(
+                [sys.executable, "-m", "kgraphck.cli", "satiate", str(graph),
+                 "--generators", str(gens), "--budget", "300"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+        )
+    assert [r.returncode for r in runs] == [3, 3]
+    assert runs[0].stderr.startswith("budget exceeded: ")
+    assert runs[0].stderr == runs[1].stderr
 
 
 def test_satiate_subcommand(files, capsys):

@@ -361,6 +361,77 @@ def test_moving_nonzero_gaps(omega11, sat_a):
                 assert shift_gaps_check(T, F.members, head) == 0
 
 
+def _gap_families(g, chain):
+    """Families to check against each collection of the chain: the boundary
+    representations of the chain (a larger collection's representation
+    kills gaps outside a smaller one), a tampered one, the float versions
+    and the zero family."""
+    reps = [boundary_rep(g, S) for S in chain]
+    ops = dict(reps[0].ops)
+    lam = max(ops, key=lambda p: p.sort_key())
+    ops[lam] = ops[lam] * Fraction(2)  # no longer a partial isometry
+    tampered = CKFamily(g, reps[0].dim, ops, basis=reps[0].basis)
+    return reps + [tampered, reps[0].to_complex(), reps[-1].to_complex(), zero_family(g)]
+
+
+@pytest.mark.parametrize("name", ["omega11", "omega21", "omega22", "b7.0", "b7.3"])
+def test_gap_vanishing_matches_universe_loop(request, monkeypatch, name):
+    if name in FAITHFUL_DIFFERENTIAL:
+        g = FAITHFUL_DIFFERENTIAL[name]()
+    else:
+        g = request.getfixturevalue(name)
+    universe = FamilyCollection(g).universe_all()
+    chain = [
+        satiate(FamilyCollection(g)),
+        satiate(FamilyCollection(g, [random.Random(name).choice(universe)])),
+        full_fe_collection(g),
+    ]
+    products = []
+
+    def counting_gap_product(T, members, v):
+        products.append(v)
+        return gap_product(T, members, v)
+
+    shortcuts = 0
+    for T in _gap_families(g, chain):
+        for S in chain:
+            want = oracles.universe_gap_vanishing(T, S)
+            monkeypatch.setattr(repn, "gap_product", counting_gap_product)
+            got = repn.gap_vanishing(T, S)
+            monkeypatch.undo()
+            assert got == want
+            shortcuts += len(products) < len(universe)
+            products.clear()
+    assert shortcuts >= 3  # the antichain-edge checks decided some cases
+
+
+def test_gap_vanishing_without_commuting_projections(omega11):
+    # every vertex acts as the identity on C^2, and at 0,0 the gaps of b, a
+    # and ab project onto e1, (e1 + e2)/2 and e2: the gap product of {b, ab}
+    # vanishes, that of the larger {b, a, ab} does not, so the relations
+    # fail and every family is checked
+    g = omega11
+    half = Fraction(1, 2)
+    proj = {
+        "c2:0,0": {(1, 1): Fraction(1)},
+        "c1:0,0": {(0, 0): half, (0, 1): -half, (1, 0): -half, (1, 1): half},
+        "c1:0,0.c2:1,0": {(0, 0): Fraction(1)},
+    }
+    ops = {
+        lam: SparseMatrix.identity(2)
+        if lam.is_vertex()
+        else SparseMatrix(2, 2, proj.get(lam.token(), {}))
+        for lam in g.all_paths()
+    }
+    T = CKFamily(g, 2, ops)
+    S = FamilyCollection(g)
+    got = repn.gap_vanishing(T, S)
+    assert got == oracles.universe_gap_vanishing(T, S)
+    vanished = {tuple(p.token() for p in F) for F in got.vanished_outside}
+    assert ("c2:0,0", "c1:0,0.c2:1,0") in vanished
+    assert ("c2:0,0", "c1:0,0", "c1:0,0.c2:1,0") not in vanished
+
+
 # -- faithfulness -------------------------------------------------------------------------
 
 
