@@ -187,18 +187,31 @@ def pairs_ds(paths: Iterable[Path]) -> tuple[tuple[Path, Path], ...]:
 _CLOSURE_BUDGET = 100_000
 
 
-def _close(base: frozenset[Path], new: Iterable[Path], budget: int) -> frozenset[Path]:
+def _close(
+    base: frozenset[Path],
+    new: Iterable[Path],
+    budget: int,
+    exts: dict[tuple[Path, Path], tuple[Path, ...]] | None = None,
+    products: dict[tuple[Path, Path], Path] | None = None,
+) -> frozenset[Path]:
     """The least closed superset of ``base | new``, for a closed ``base``.
 
     Semi-naive: each added path is processed once, against itself and the
     paths processed before it, so a triple (lam, mu, sigma) is visited once,
     when the last of its paths is processed, and triples inside ``base`` are
     never visited.  Ext(mu; {sigma}) is computed once per pair, for sigma
-    with range r(mu) only.  The budget counts (lam, mu, sigma, alpha) steps.
+    with range r(mu) only, and kept in ``exts``; each product lam.alpha is
+    kept in ``products``.  Callers closing many sets over one graph pass the
+    same two dicts.  Returns ``base`` itself when every new path is already
+    in it.  The budget counts (lam, mu, sigma, alpha) steps.
     """
+    new = [p for p in new if p not in base]
+    if not new:
+        return base
     matched: dict[tuple[Degree, str], list[Path]] = {}  # by (degree, source)
     by_range: dict[str, list[Path]] = {}
-    exts: dict[tuple[Path, Path], tuple[Path, ...]] = {}
+    exts = {} if exts is None else exts
+    products = {} if products is None else products
 
     def admit(p: Path) -> None:
         matched.setdefault((p.degree, p.source), []).append(p)
@@ -241,7 +254,9 @@ def _close(base: frozenset[Path], new: Iterable[Path], budget: int) -> frozenset
                 steps += 1
                 if steps > budget:
                     raise ClosureBudgetExceeded(f"pi_closure exceeded {budget} steps")
-                cand = compose(lam, alpha)
+                cand = products.get((lam, alpha))
+                if cand is None:
+                    cand = products[(lam, alpha)] = compose(lam, alpha)
                 if cand not in closed:
                     closed.add(cand)
                     queue.append(cand)

@@ -313,10 +313,16 @@ def _bundle_load(graph: KGraph, doc) -> CKFamily:
                 and all(type(x) is int and 0 <= x < dim for x in row[:2]),
                 f"row {row!r} of {token!r} must be [i, j, rational] with 0 <= i, j < {dim}",
             )
+            _require(
+                (row[0], row[1]) not in data,
+                f"entry ({row[0]}, {row[1]}) of {token!r} is given twice",
+            )
+            not_rational = f"entry {row[2]!r} of {token!r} is not a rational"
+            _require(not isinstance(row[2], bool), not_rational)
             try:
                 data[(row[0], row[1])] = Fraction(row[2])
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                raise ParseError(f"entry {row[2]!r} of {token!r} is not a rational") from None
+                raise ParseError(not_rational) from None
         ops[lam] = SparseMatrix(dim, dim, data)
     basis = doc.get("basis")
     _require(

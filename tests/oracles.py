@@ -479,6 +479,14 @@ def universe_gap_vanishing(T: CKFamily, S: FamilyCollection) -> GapVanishing:
     return GapVanishing(members_vanish, tuple(outside))
 
 
+def matrix_only(T: CKFamily) -> CKFamily:
+    """T without its partial-injection maps: every check on the copy runs
+    on ``SparseMatrix`` products, the reference for the map path."""
+    out = CKFamily(T.graph, T.dim, T.ops, basis=T.basis)
+    out.injections = None
+    return out
+
+
 def separate_uniqueness_hypotheses(T: CKFamily, S: FamilyCollection):
     """(relations, vertices nonzero, gaps nonzero, condition (C)), each
     computed on its own."""

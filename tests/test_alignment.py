@@ -313,12 +313,18 @@ def test_pi_closure_matches_naive_and_brute():
 
 def test_prefix_closures_match_per_window_closure():
     # extending the closure of a window's prefix by its next path gives the
-    # closure of the longer prefix
+    # closure of the longer prefix, also when every closure over one graph
+    # shares its Ext and product memos; a path already in the grid gives
+    # back the grid itself
+    memos: dict[int, tuple[dict, dict]] = {}
     for name, window in CLOSURE_WINDOWS:
+        exts, products = memos.setdefault(id(window[0].graph), ({}, {}))
         grid = frozenset()
         for k, p in enumerate(window):
-            grid = _close(grid, (p,), 100_000)
+            before = grid
+            grid = _close(grid, (p,), 100_000, exts, products)
             assert grid == frozenset(pi_closure(window[: k + 1])), (name, window[: k + 1])
+            assert (grid is before) == (p in before)
 
 
 def test_pi_closure_budget_counts_each_step_once():

@@ -390,6 +390,13 @@ def _set_entry(doc, index, value):
     doc["operators"]["0,0"][0][index] = value
 
 
+def _repeat_entry(doc, value):
+    """Give the first entry of the operator of 0,0 a second value; without
+    the parse error the later value would silently win."""
+    rows = doc["operators"]["0,0"]
+    rows.append([rows[0][0], rows[0][1], value])
+
+
 @pytest.mark.parametrize(
     "argv, edit",
     [
@@ -400,6 +407,9 @@ def _set_entry(doc, index, value):
         (("verify", "{omega11}", "--bundle", "{bundle}"), lambda doc: _set_entry(doc, 2, "x")),
         (("verify", "{omega11}", "--bundle", "{bundle}"), lambda doc: _set_entry(doc, 1, doc["dimension"])),
         (("verify", "{omega11}", "--bundle", "{bundle}"), lambda doc: doc["basis"].pop()),
+        (("verify", "{omega11}", "--bundle", "{bundle}"), lambda doc: _repeat_entry(doc, 0)),
+        (("verify", "{omega11}", "--bundle", "{bundle}"), lambda doc: _set_entry(doc, 2, True)),
+        (("verify", "{omega11}", "--bundle", "{bundle}"), lambda doc: _set_entry(doc, 2, False)),
     ],
     ids=[
         "generators-missing",
@@ -409,6 +419,9 @@ def _set_entry(doc, index, value):
         "bundle-entry-not-rational",
         "bundle-index-out-of-range",
         "bundle-basis-length",
+        "bundle-entry-repeated",
+        "bundle-entry-true",
+        "bundle-entry-false",
     ],
 )
 def test_unreadable_or_malformed_input_file_exits_2(files, tmp_path, capsys, argv, edit):
