@@ -13,8 +13,6 @@ import random
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .degree import Degree
 from .errors import BUDGET_ERRORS, KGraphError, ParseError, PreconditionFailed
@@ -414,6 +412,8 @@ def cmd_verify(args) -> int:
     if T.basis is None:
         report.add("gauge", None, detail="bundle has no basis labels")
     else:
+        import numpy as np
+
         zs = gauge_grid(graph)
         dev = gauge_unitary_check(T, zs)
         worst = 0.0

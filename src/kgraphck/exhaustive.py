@@ -102,6 +102,30 @@ def _subset_count(n: int, max_size: int) -> int:
     return sum(math.comb(n, s) for s in range(1, min(n, max_size) + 1))
 
 
+def _hit_masks(graph: KGraph, v: str, depth: Degree, max_size: int, budget: int):
+    """The candidate paths at v and the distinct bitmasks of the candidates
+    meeting each obstruction, or None for the bitmasks where the obstructions
+    cannot prove exhaustiveness.
+
+    Raises BudgetExceeded when the subsets of at most ``max_size`` candidates
+    outnumber ``budget``.
+    """
+    candidates = [p for p in graph.paths_up_to(v, depth) if not p.is_vertex()]
+    if _subset_count(len(candidates), max_size) > budget:
+        raise BudgetExceeded(
+            f"{len(candidates)} candidate paths exceed the subset budget {budget}"
+        )
+    # the window bounds every member degree, so it serves as the prefix degree
+    paths, meets, proves = _obstructions(graph, v, depth, depth)
+    if not proves:
+        return candidates, None
+    masks = {
+        sum(1 << i for i, mu in enumerate(candidates) if meets(lam, (mu,)))
+        for lam in paths
+    }
+    return candidates, masks
+
+
 def fe_enumerate(
     graph: KGraph,
     v: str,
@@ -117,24 +141,14 @@ def fe_enumerate(
     bitmask of candidates meeting it; where the obstructions cannot prove
     exhaustiveness nothing is kept.  Output is canonically sorted.
     """
-    candidates = [p for p in graph.paths_up_to(v, depth) if not p.is_vertex()]
-    if _subset_count(len(candidates), max_size) > budget:
-        raise BudgetExceeded(
-            f"{len(candidates)} candidate paths exceed the subset budget {budget}"
-        )
-    # the window bounds every member degree, so it serves as the prefix degree
-    paths, meets, proves = _obstructions(graph, v, depth, depth)
-    if not proves:
+    candidates, masks = _hit_masks(graph, v, depth, max_size, budget)
+    if masks is None:
         return ()
-    meeting = {
-        sum(1 << i for i, mu in enumerate(candidates) if meets(lam, (mu,)))
-        for lam in paths
-    }
     out = []
     for size in range(1, min(len(candidates), max_size) + 1):
         for combo in itertools.combinations(range(len(candidates)), size):
             mask = sum(1 << i for i in combo)
-            if all(mask & m for m in meeting):
+            if all(mask & m for m in masks):
                 out.append(PathFamily(graph, v, [candidates[i] for i in combo]))
     out.sort(key=lambda f: f.sort_key())
     return tuple(out)
@@ -147,11 +161,51 @@ def minimal_exhaustive(
     max_size: int,
     budget: int = 200_000,
 ) -> tuple[PathFamily, ...]:
-    """The inclusion-minimal families among fe_enumerate's output."""
-    families = fe_enumerate(graph, v, depth, max_size, budget)
+    """The inclusion-minimal families among fe_enumerate's output.
+
+    These are the minimal transversals, of at most ``max_size`` members, of
+    the hypergraph of hit masks.  The search branches on the first mask the
+    chosen set misses, adding each of its candidates not yet banned and
+    banning the ones tried before it, so no subset is visited twice; a
+    branch ends once some chosen member is no longer the only one meeting
+    some mask, since no superset can be minimal.  ``budget`` still counts
+    the candidate subsets, as in ``fe_enumerate``.
+    """
+    candidates, masks = _hit_masks(graph, v, depth, max_size, budget)
+    if masks is None or 0 in masks:
+        return ()
+    # fewest hitters first keeps the branching narrow
+    order = sorted(masks, key=lambda m: (m.bit_count(), m))
+    found: list[int] = []
+
+    def grow(chosen: int, banned: int, size: int) -> None:
+        missed = 0
+        critical = 0
+        for m in order:
+            hit = m & chosen
+            if not hit:
+                if not missed:
+                    missed = m
+            elif not hit & (hit - 1):
+                critical |= hit
+        if critical != chosen:
+            return
+        if not missed:
+            found.append(chosen)
+            return
+        if size >= max_size:
+            return
+        free = missed & ~banned
+        while free:
+            bit = free & -free
+            grow(chosen | bit, banned, size + 1)
+            banned |= bit
+            free ^= bit
+
+    grow(0, 0, 0)
     out = [
-        f
-        for f in families
-        if not any(g is not f and g.members < f.members for g in families)
+        PathFamily(graph, v, [c for i, c in enumerate(candidates) if chosen >> i & 1])
+        for chosen in found
     ]
+    out.sort(key=lambda f: f.sort_key())
     return tuple(out)

@@ -65,7 +65,7 @@ class Path:
     by (graph, range, word); the word stores edge ids.
     """
 
-    __slots__ = ("graph", "range", "word", "_degree", "_source", "_key")
+    __slots__ = ("graph", "range", "word", "_degree", "_source", "_key", "_hash")
 
     def __init__(self, graph: "KGraph", range_vertex: str, word: tuple[str, ...]):
         self.graph = graph
@@ -74,6 +74,7 @@ class Path:
         self._degree = None
         self._source = None
         self._key = None
+        self._hash = None
 
     @property
     def degree(self) -> Degree:
@@ -104,7 +105,9 @@ class Path:
         )
 
     def __hash__(self) -> int:
-        return hash((self.range, self.word))
+        if self._hash is None:
+            self._hash = hash((self.range, self.word))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Path({self.token()})"

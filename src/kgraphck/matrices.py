@@ -2,14 +2,17 @@
 
 Entries are Fractions (default) or complex numbers; both support the
 operations used here, including ``conjugate``.  Relation checks on exact
-matrices compare entries literally; norms go through dense numpy arrays.
+matrices compare entries literally; norms go through dense numpy arrays, and
+numpy is imported only when one is taken.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SparseMatrix:
@@ -99,6 +102,8 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.data)})"
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros((self.rows, self.cols), dtype=complex)
         for (i, j), v in self.data.items():
             out[i, j] = complex(v)
@@ -108,6 +113,8 @@ class SparseMatrix:
         """Operator norm (largest singular value)."""
         if not self.data:
             return 0.0
+        import numpy as np
+
         return float(np.linalg.norm(self.to_dense(), 2))
 
     def max_abs(self) -> float:

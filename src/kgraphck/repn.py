@@ -35,9 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .degree import Degree
 from .errors import (
@@ -54,6 +52,9 @@ from .satiation import FamilyCollection, Membership, member
 from .boundary import boundary_paths, condition_c
 from .formal import FormalElement, formal_mul, gauge_expectation
 from .matrices import SparseMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CKFamily:
@@ -782,6 +783,8 @@ def _z_power(z: Sequence[complex], n: Degree) -> complex:
 
 
 def gauge_unitary(T: CKFamily, z: Sequence[complex]) -> np.ndarray:
+    import numpy as np
+
     if T.basis is None:
         raise PreconditionFailed("gauge checks need a basis-labeled family")
     return np.diag([_z_power(z, x.degree) for x in T.basis])
@@ -789,6 +792,8 @@ def gauge_unitary(T: CKFamily, z: Sequence[complex]) -> np.ndarray:
 
 def gauge_unitary_check(T: CKFamily, zs: Iterable[Sequence[complex]]) -> float:
     """max over z, lam of || U_z t_lam U_z* - z^{d(lam)} t_lam ||."""
+    import numpy as np
+
     worst = 0.0
     for z in zs:
         U = gauge_unitary(T, z)
@@ -807,6 +812,8 @@ def gauge_grid(graph: KGraph) -> list[tuple[complex, ...]]:
     Coordinate i runs over the (D_i + 1)-th roots of unity where D is the
     maximum path degree, so discrete averaging kills every skew term.
     """
+    import numpy as np
+
     D = graph.max_degree
     axes = [
         [np.exp(2j * np.pi * t / (d + 1)) for t in range(d + 1)] for d in D
@@ -818,6 +825,8 @@ def sampled_gauge_average(
     T: CKFamily, a: FormalElement, zs: Sequence[Sequence[complex]]
 ) -> np.ndarray:
     """Average of U_z eval(a) U_z* over the samples."""
+    import numpy as np
+
     acc = np.zeros((T.dim, T.dim), dtype=complex)
     mat = evaluate(a, T).to_dense()
     for z in zs:

@@ -36,7 +36,7 @@ from kgraphck.kgraph import (
 )
 from kgraphck.alignment import PathFamily, ext, has_prefix_in, pairs_ds, pi_closure
 from kgraphck.boundary import ConditionCReport, boundary_paths, condition_c, is_aperiodic_path
-from kgraphck.exhaustive import Status, _source_free_from, _subset_count
+from kgraphck.exhaustive import Status, _source_free_from, _subset_count, fe_enumerate
 from kgraphck.repn import (
     CKFamily,
     FaithfulnessVerdict,
@@ -224,6 +224,17 @@ def subset_fe_enumerate(graph, v, depth, max_size, budget=200_000):
                 out.append(fam)
     out.sort(key=lambda f: f.sort_key())
     return tuple(out)
+
+
+def pairwise_minimal_exhaustive(graph, v, depth, max_size, budget=200_000):
+    """minimal_exhaustive by dropping every fe_enumerate family that has a
+    proper subfamily in the same list."""
+    families = fe_enumerate(graph, v, depth, max_size, budget)
+    return tuple(
+        f
+        for f in families
+        if not any(g is not f and g.members < f.members for g in families)
+    )
 
 
 # -- satiated collections -------------------------------------------------------

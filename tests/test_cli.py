@@ -274,6 +274,37 @@ def test_verify_float_backend(files, capsys):
     capsys.readouterr()
 
 
+NUMPY_CHILD = """
+import contextlib, io, json, sys
+from kgraphck.cli import main
+seen = ["numpy" in sys.modules]
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+    seen.append("numpy" in sys.modules)
+print(json.dumps({"codes": codes, "numpy": seen}))
+"""
+
+
+def test_numpy_imported_only_by_verify(files):
+    """satiate and exhaustive never load numpy; verify's float checks do."""
+    runs = [
+        ["satiate", files["omega11"], "--generators", files["gens"], "--json"],
+        ["exhaustive", "enumerate", files["omega21"], "0,0", "--depth", "2,1",
+         "--max-size", "3", "--minimal", "--json"],
+        ["verify", files["omega11"], "--backend", "float", "--json"],
+    ]
+    src = os.path.dirname(os.path.dirname(kgraphck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_CHILD, json.dumps(runs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "numpy": [False, False, False, True]}
+
+
 @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--all"]], ids=["jobs", "all"])
 def test_verify_rejects_removed_flags(files, capsys, flag):
     with pytest.raises(SystemExit) as exc:

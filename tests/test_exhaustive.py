@@ -10,6 +10,7 @@ from kgraphck.alignment import ext, family
 from kgraphck.boundary import omega
 from kgraphck.exhaustive import (
     Status,
+    _subset_count,
     fe_enumerate,
     is_exhaustive,
     minimal_exhaustive,
@@ -241,6 +242,83 @@ def test_fe_enumerate_matches_subset_oracle(request, name):
             assert [f.sort_key() for f in got] == [f.sort_key() for f in expected]
             got = minimal_exhaustive(g, v, w, max_size)
             assert [f.sort_key() for f in got] == [f.sort_key() for f in minimal]
+
+
+# -- differential: minimal transversals against the pairwise filter ----------------
+
+# rank-3 graphs of the exhaustive benchmark, with the omegas and batch 7
+MINIMAL = {
+    "omega11": lambda: omega(2, Degree(1, 1)),
+    "omega21": lambda: omega(2, Degree(2, 1)),
+    "omega211": lambda: omega(3, Degree(2, 1, 1)),
+    **{f"b7.{i}": lambda i=i: oracles.random_graphs(7, 6)[i] for i in range(6)},
+    **{
+        f"prod3-s{s}": lambda s=s: validate(oracles.random_product_spec(random.Random(s), 3))
+        for s in (0, 3)
+    },
+    **{
+        f"sv3-s{s}": lambda s=s: validate(
+            oracles.random_single_vertex_spec(random.Random(s), 3)
+        )
+        for s in (0, 1, 3, 4, 6, 7)
+    },
+}
+
+
+def _minimal_cases(g):
+    """(vertex, window, candidate count) at each vertex: acyclic graphs take
+    their maximum degree, cyclic ones two windows."""
+    if g.is_acyclic:
+        windows = [g.max_degree]
+    else:
+        ones = Degree(*([1] * g.rank))
+        windows = [ones, ones + Degree.unit(g.rank, 1)]
+    for v in g.vertices:
+        for w in windows:
+            yield v, w, sum(1 for p in g.paths_up_to(v, w) if not p.is_vertex())
+
+
+@pytest.mark.parametrize("name", MINIMAL)
+def test_minimal_exhaustive_matches_pairwise_oracle(name):
+    g = MINIMAL[name]()
+    capped = widest = 0
+    for v, w, n in _minimal_cases(g):
+        # the largest cap the subset loop of the oracle handles quickly
+        top = max((k for k in range(1, n + 1) if _subset_count(n, k) <= 20_000), default=1)
+        full = minimal_exhaustive(g, v, w, top)
+        assert _keys(full) == _keys(oracles.pairwise_minimal_exhaustive(g, v, w, top))
+        largest = max((len(f.members) for f in full), default=0)
+        for cap in range(1, largest):
+            got = minimal_exhaustive(g, v, w, cap)
+            assert _keys(got) == _keys(oracles.pairwise_minimal_exhaustive(g, v, w, cap))
+            assert _keys(got) == [k for f, k in zip(full, _keys(full)) if len(f.members) <= cap]
+            capped += len(got) < len(full)
+        widest = max(widest, largest)
+    # on the grids every minimal family is one path; elsewhere some cap
+    # below the largest minimal family drops families
+    assert capped or widest == 1
+
+
+def _keys(families):
+    return [f.sort_key() for f in families]
+
+
+def test_minimal_exhaustive_refute_only_window_is_empty():
+    g = _single_loop()
+    for w in (Degree(1, 1), Degree(2, 1), Degree(3, 2)):
+        assert minimal_exhaustive(g, "v", w, 3) == ()
+        assert oracles.pairwise_minimal_exhaustive(g, "v", w, 3) == ()
+
+
+def test_minimal_exhaustive_budget_message_matches_oracle():
+    g = MINIMAL["b7.5"]()
+    v, w = "L0_0|L1_0|L2_0", g.max_degree
+    with pytest.raises(BudgetExceeded) as got:
+        minimal_exhaustive(g, v, w, 14, budget=100)
+    with pytest.raises(BudgetExceeded) as expected:
+        oracles.pairwise_minimal_exhaustive(g, v, w, 14, budget=100)
+    assert str(got.value) == str(expected.value)
+    assert "candidate paths exceed the subset budget 100" in str(got.value)
 
 
 def test_cyclic_not_source_free_stays_unknown():
