@@ -4,8 +4,9 @@ mce(mu, nu) enumerates the degree-(d(mu) v d(nu)) paths extending both
 arguments; finiteness is automatic for finite skeletons.  pi_closure is the
 least set containing its input and closed under transporting extensions
 across equal-degree, equal-source pairs; it indexes the matrix-unit grids
-used by the representation module.  One semi-naive routine, ``_close``,
-computes every closure: it extends an already-closed set by new paths and
+used by the representation module.  One semi-naive routine,
+:meth:`PathIndex.close`, computes every closure on numbered paths, a grid
+being an ``int`` bitmask: it extends an already-closed set by new paths and
 examines only the triples that touch them.
 """
 
@@ -187,80 +188,113 @@ def pairs_ds(paths: Iterable[Path]) -> tuple[tuple[Path, Path], ...]:
 _CLOSURE_BUDGET = 100_000
 
 
-def _close(
-    base: frozenset[Path],
-    new: Iterable[Path],
-    budget: int,
-    exts: dict[tuple[Path, Path], tuple[Path, ...]] | None = None,
-    products: dict[tuple[Path, Path], Path] | None = None,
-) -> frozenset[Path]:
-    """The least closed superset of ``base | new``, for a closed ``base``.
+def _bits(mask: int):
+    """The set bit positions of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Semi-naive: each added path is processed once, against itself and the
-    paths processed before it, so a triple (lam, mu, sigma) is visited once,
-    when the last of its paths is processed, and triples inside ``base`` are
-    never visited.  Ext(mu; {sigma}) is computed once per pair, for sigma
-    with range r(mu) only, and kept in ``exts``; each product lam.alpha is
-    kept in ``products``.  Callers closing many sets over one graph pass the
-    same two dicts.  Returns ``base`` itself when every new path is already
-    in it.  The budget counts (lam, mu, sigma, alpha) steps.
+
+class PathIndex:
+    """Paths numbered in order of first use, so that a set of them is an
+    ``int`` bitmask, with the memos of the grid closures over them.
+
+    ``matched`` and ``by_range`` hold the mask of the numbered paths of each
+    (degree, source) and each range; ``exts`` maps (mu, sigma) to the mask of
+    Ext(mu; {sigma}) and ``products`` maps (lam, tails mask) to the mask of
+    the products lam.alpha.  Closures over one index share these memos.
     """
-    new = [p for p in new if p not in base]
-    if not new:
-        return base
-    matched: dict[tuple[Degree, str], list[Path]] = {}  # by (degree, source)
-    by_range: dict[str, list[Path]] = {}
-    exts = {} if exts is None else exts
-    products = {} if products is None else products
 
-    def admit(p: Path) -> None:
-        matched.setdefault((p.degree, p.source), []).append(p)
-        by_range.setdefault(p.range, []).append(p)
+    __slots__ = ("paths", "index", "matched", "by_range", "exts", "products")
 
-    def tails(mu: Path, sigma: Path) -> tuple[Path, ...]:
-        out = exts.get((mu, sigma))
-        if out is None:
-            out = exts[(mu, sigma)] = ext(mu, (sigma,))
+    def __init__(self):
+        self.paths: list[Path] = []
+        self.index: dict[Path, int] = {}
+        self.matched: dict[tuple[Degree, str], int] = {}
+        self.by_range: dict[str, int] = {}
+        self.exts: dict[tuple[int, int], int] = {}
+        self.products: dict[tuple[int, int], int] = {}
+
+    def bit(self, p: Path) -> int:
+        """The number of p, assigned on first use."""
+        i = self.index.get(p)
+        if i is None:
+            i = self.index[p] = len(self.paths)
+            self.paths.append(p)
+            key = (p.degree, p.source)
+            self.matched[key] = self.matched.get(key, 0) | 1 << i
+            self.by_range[p.range] = self.by_range.get(p.range, 0) | 1 << i
+        return i
+
+    def mask(self, paths: Iterable[Path]) -> int:
+        out = 0
+        for p in paths:
+            out |= 1 << self.bit(p)
         return out
 
-    for p in base:
-        admit(p)
-    closed = set(base)
-    queue = []
-    for p in new:
-        if p not in closed:
-            closed.add(p)
-            queue.append(p)
-    steps = 0
-    while queue:
-        p = queue.pop()
-        admit(p)
-        # every triple holding p, once: p as lam; else p as mu; else p as sigma
-        work = [
-            (p, tails(mu, sigma))
-            for mu in matched[(p.degree, p.source)]
-            for sigma in by_range[mu.range]
-        ]
-        for sigma in by_range[p.range]:
-            alphas = tails(p, sigma)
-            if alphas:
-                work += [(lam, alphas) for lam in matched[(p.degree, p.source)] if lam != p]
-        for mu in by_range[p.range]:
-            alphas = tails(mu, p) if mu != p else ()
-            if alphas:
-                work += [(lam, alphas) for lam in matched[(mu.degree, mu.source)] if lam != p]
-        for lam, alphas in work:
-            for alpha in alphas:
-                steps += 1
-                if steps > budget:
-                    raise ClosureBudgetExceeded(f"pi_closure exceeded {budget} steps")
-                cand = products.get((lam, alpha))
-                if cand is None:
-                    cand = products[(lam, alpha)] = compose(lam, alpha)
-                if cand not in closed:
-                    closed.add(cand)
-                    queue.append(cand)
-    return frozenset(closed)
+    def decode(self, mask: int) -> tuple[Path, ...]:
+        """The paths of mask in canonical order."""
+        return tuple(sorted((self.paths[i] for i in _bits(mask)), key=path_sort_key))
+
+    def close(self, base: int, new: Iterable[Path], budget: int = _CLOSURE_BUDGET) -> int:
+        """The least closed superset of ``base | new``, for a closed ``base``.
+
+        Semi-naive: each added path is processed once, against itself and
+        the paths processed before it, so a triple (lam, mu, sigma) is
+        visited once, when the last of its paths is processed, and triples
+        inside ``base`` are never visited.  Returns ``base`` when every new
+        path is already in it.  The budget counts (lam, mu, sigma, alpha)
+        steps.
+        """
+        queue = self.mask(new) & ~base
+        closed = base | queue
+        done = base
+        paths, matched, by_range = self.paths, self.matched, self.by_range
+        exts, products = self.exts, self.products
+        steps = 0
+        while queue:
+            low = queue & -queue
+            queue ^= low
+            done |= low
+            i = low.bit_length() - 1
+            p = paths[i]
+            same = done & matched[(p.degree, p.source)]
+            here = done & by_range[p.range]
+            # every triple holding p, once, as (mu, sigma, mask of lams): p as
+            # lam; else p as mu; else p as sigma
+            work = [
+                (mu, sigma, low)
+                for mu in _bits(same)
+                for sigma in _bits(done & by_range[paths[mu].range])
+            ]
+            if same != low:
+                work += [(i, sigma, same ^ low) for sigma in _bits(here)]
+            for mu in _bits(here ^ low):
+                q = paths[mu]
+                lams = done & matched[(q.degree, q.source)] & ~low
+                if lams:
+                    work.append((mu, i, lams))
+            for mu, sigma, lams in work:
+                alphas = exts.get((mu, sigma))
+                if alphas is None:
+                    alphas = exts[(mu, sigma)] = self.mask(ext(paths[mu], (paths[sigma],)))
+                if not alphas:
+                    continue
+                count = alphas.bit_count()
+                for lam in _bits(lams):
+                    steps += count
+                    if steps > budget:
+                        raise ClosureBudgetExceeded(f"pi_closure exceeded {budget} steps")
+                    grown = products.get((lam, alphas))
+                    if grown is None:
+                        grown = products[(lam, alphas)] = self.mask(
+                            compose(paths[lam], paths[alpha]) for alpha in _bits(alphas)
+                        )
+                    grown &= ~closed
+                    closed |= grown
+                    queue |= grown
+        return closed
 
 
 def pi_closure(members: Iterable[Path], budget: int = _CLOSURE_BUDGET) -> tuple[Path, ...]:
@@ -273,4 +307,5 @@ def pi_closure(members: Iterable[Path], budget: int = _CLOSURE_BUDGET) -> tuple[
     of paths is examined once); the step budget counts each
     (lam, mu, sigma, alpha) step once and guards against library bugs.
     """
-    return tuple(sorted(_close(frozenset(), members, budget), key=path_sort_key))
+    index = PathIndex()
+    return index.decode(index.close(0, members, budget))

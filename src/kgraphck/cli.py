@@ -36,7 +36,6 @@ from .repn import (
     evaluate,
     expectation_contraction_check,
     faithful_on_core_check,
-    gap_vanishing,
     gauge_grid,
     gauge_unitary_check,
     matrix_unit_check,
@@ -347,6 +346,8 @@ def cmd_represent(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.windows < 0:
+        raise PreconditionFailed(f"--windows must be at least 0, got {args.windows}")
     graph = _load_graph(args.graph)
     C = _load_collection(graph, args)
     S = satiate(C)
@@ -390,7 +391,7 @@ def cmd_verify(args) -> int:
             deviation=mu_rep.max_deviation(),
         )
 
-    report.add("gap-products-iff-membership", gap_vanishing(T, S).iff_membership)
+    report.add("gap-products-iff-membership", T.gap_vanishing(S).iff_membership)
 
     verdict = faithful_on_core_check(T, S)
     report.add(

@@ -18,16 +18,20 @@ minus the images of its family.  The fallback to ``SparseMatrix`` starts at
 any check the maps do not confirm and covers every other family (rational
 entries, ``--backend float``), so a failing check's deviation and witness
 come from the matrices and reports do not depend on the path taken.  The
-float gauge and contraction checks always use the matrices.
+float gauge and contraction checks use the matrices of every family; the
+gauge check takes the SVD of a difference only where its Schur bound
+exceeds the maximum so far (:func:`gauge_unitary_check`).
 
 The checks do work in proportion to the antichain edges and the distinct
 grids, not the universe.  When TCK1-TCK3 hold (checked once per family),
 the gap product is antitone in the family, so "the gap products vanish
 exactly on S" is decided at the minimal members of S and the maximal
-families outside it (:func:`gap_vanishing`), falling back to every universe
-family otherwise.  The faithfulness check builds each window's grid by
-extending the grid of its prefix, examines each distinct grid once and
-computes each row index's tails once per grid.
+families outside it (:func:`gap_vanishing`, kept on the family for its
+collection), falling back to every universe family otherwise.  The
+faithfulness check builds each window's grid as a bitmask of numbered
+paths by extending the grid of its prefix, examines each distinct grid
+once and takes each row index's tails as the grid masked by its proper
+extensions.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .kgraph import KGraph, Path, compose, path_sort_key, _split
-from .alignment import _CLOSURE_BUDGET, PathFamily, _close, ext, lambda_min, pairs_ds
+from .alignment import PathFamily, PathIndex, _bits, ext, lambda_min, pairs_ds
 from .satiation import FamilyCollection, Membership, member
 from .boundary import boundary_paths, condition_c
 from .formal import FormalElement, formal_mul, gauge_expectation
@@ -82,6 +86,7 @@ class CKFamily:
         self.basis = basis
         self.injections = PartialInjections.detect(graph, dim, self.ops)
         self._relations: tuple[CheckResult, ...] | None = None
+        self._gaps: tuple[FamilyCollection, GapVanishing] | None = None
 
     def relation_checks(self) -> tuple[CheckResult, ...]:
         """TCK1-TCK3 for this family, checked on first use and then kept
@@ -89,6 +94,13 @@ class CKFamily:
         if self._relations is None:
             self._relations = _relation_checks(self)
         return self._relations
+
+    def gap_vanishing(self, S: FamilyCollection) -> GapVanishing:
+        """:func:`gap_vanishing` against S, computed on first use and kept
+        for the last collection asked about."""
+        if self._gaps is None or self._gaps[0] is not S:
+            self._gaps = (S, gap_vanishing(self, S))
+        return self._gaps[1]
 
     def is_rational(self) -> bool:
         """Whether every operator entry is an exact rational."""
@@ -527,22 +539,6 @@ def matrix_unit_check(T: CKFamily, PiE: Sequence[Path]) -> MatrixUnitReport:
     return MatrixUnitReport(adjoint_dev, product_dev, span_dev, len(grid))
 
 
-def _grid_pattern(
-    S: FamilyCollection, PiE: Sequence[Path]
-) -> list[tuple[Path, Path, tuple[Path, ...]]]:
-    """(lam, mu, tails of lam) for the universally nonzero grid pairs, in
-    pair order; the tails of each lam are computed once."""
-    if not S.exact:
-        raise InexactUniverse("the vanishing pattern needs an exact universe")
-    tails = {lam: grid_tails(PiE, lam) for lam in PiE}
-    nonzero = {
-        lam
-        for lam, nus in tails.items()
-        if member(PathFamily(lam.graph, lam.source, nus), S) is not Membership.YES
-    }
-    return [(lam, mu, tails[lam]) for lam, mu in pairs_ds(PiE) if lam in nonzero]
-
-
 def nonzero_theta_pattern(
     S: FamilyCollection, PiE: Sequence[Path]
 ) -> frozenset[tuple[Path, Path]]:
@@ -552,7 +548,15 @@ def nonzero_theta_pattern(
     row index belongs to the collection; empty or non-exhaustive tail
     families never do.  Needs an exact universe for definite membership.
     """
-    return frozenset((lam, mu) for lam, mu, _ in _grid_pattern(S, PiE))
+    if not S.exact:
+        raise InexactUniverse("the vanishing pattern needs an exact universe")
+    nonzero = {
+        lam
+        for lam in PiE
+        if member(PathFamily(lam.graph, lam.source, grid_tails(PiE, lam)), S)
+        is not Membership.YES
+    }
+    return frozenset((lam, mu) for lam, mu in pairs_ds(PiE) if lam in nonzero)
 
 
 # -- gap products against membership ----------------------------------------------------
@@ -659,58 +663,97 @@ def faithful_on_core_check(T: CKFamily, S: FamilyCollection) -> FaithfulnessVerd
     disagreement therefore indicates a library bug.  A matrix unit depends
     only on its indices and the tails of its row index in the grid, so each
     distinct grid is examined once and each distinct unit checked once,
-    reported with the size of the first grid it appears in.  Each window's
-    grid extends the grid of its window minus the last member, so windows
-    sharing a prefix share its closure, and every closure shares one memo of
-    Ext(mu; {sigma}) and lam.alpha.  Route (b): every vertex operator is
-    nonzero and every gap product over a universe family outside S is
-    nonzero (see :func:`gap_vanishing`).
+    reported with the size of the first grid it appears in.  Grids are
+    bitmasks over one :class:`PathIndex`, whose closures share their memos;
+    each grid extends the grid of its window minus the last member, and each
+    extension of a grid by a path is computed once.  The tails of lam in a
+    grid G are G masked by the numbered proper extensions of lam; the tail
+    family's membership in S and its gap set are computed once per lam and
+    tails mask.  Route (b): every vertex operator is nonzero and every gap
+    product over a universe family outside S is nonzero (see
+    :func:`gap_vanishing`).
     """
     g = T.graph
-    closures: dict[tuple[Path, ...], frozenset[Path]] = {(): frozenset()}
-    # Ext(mu; {sigma}) and lam.alpha, shared by every closure below
-    exts: dict[tuple[Path, Path], tuple[Path, ...]] = {}
-    products: dict[tuple[Path, Path], Path] = {}
-    grids: set[frozenset[Path]] = set()
-    first_grid: dict[tuple[Path, Path, tuple[Path, ...]], tuple[Path, ...]] = {}
+    index = PathIndex()
+    closures: dict[tuple[int, int], int] = {}  # (grid, path) -> closure of both
+    grids: dict[int, None] = {}  # distinct grids, in order of first use
     for F in S.universe_all():
         if F in S.members:
             continue
-        window = (g.vertex_path(F.vertex),) + F.sorted_members()
-        for k in range(1, len(window) + 1):
-            if window[:k] not in closures:
-                base = closures[window[: k - 1]]
-                closures[window[:k]] = _close(
-                    base, window[k - 1 : k], _CLOSURE_BUDGET, exts, products
-                )
-        grid = closures[window]
-        if grid in grids:
-            continue
-        grids.add(grid)
-        PiE = tuple(sorted(grid, key=path_sort_key))
-        for lam, mu, tails in _grid_pattern(S, PiE):
-            first_grid.setdefault((lam, mu, tails), PiE)
+        if not S.exact:
+            raise InexactUniverse("the vanishing pattern needs an exact universe")
+        grid = 0
+        for p in (g.vertex_path(F.vertex),) + F.sorted_members():
+            key = (grid, index.bit(p))
+            if key not in closures:
+                closures[key] = index.close(grid, (p,))
+            grid = closures[key]
+        grids.setdefault(grid)
+    # the numbered proper extensions of each row index, and the tail family
+    # of each (row index, tails mask) when it is universally nonzero
+    paths = index.paths
+    extensions: dict[int, int] = {}
+    rows: dict[tuple[int, int], tuple[Path, ...] | None] = {}
+    first_grid: dict[tuple[int, int, int], int] = {}  # (lam, mu, tails) -> grid size
+    for grid in grids:
+        # pairs_ds order: lam, then mu among the paths matching lam
+        order = sorted(_bits(grid), key=lambda i: paths[i].sort_key())
+        mates: dict[tuple[Degree, str], list[int]] = {}
+        for i in order:
+            mates.setdefault((paths[i].degree, paths[i].source), []).append(i)
+        for lam in order:
+            if lam not in extensions:
+                extensions[lam] = _extensions(index, lam)
+            tails = grid & extensions[lam]
+            if (lam, tails) not in rows:
+                rows[(lam, tails)] = _nonzero_tails(S, index, lam, tails)
+            if rows[(lam, tails)] is not None:
+                for mu in mates[(paths[lam].degree, paths[lam].source)]:
+                    first_grid.setdefault((lam, mu, tails), grid.bit_count())
     # theta(T, PiE, lam, mu), with the gap product of each tail family once:
     # on the map path theta is nonzero iff some index of the gap set lies in
     # the domains of both t_lam and t_mu
-    gaps: dict[tuple[str, tuple[Path, ...]], frozenset[int] | SparseMatrix] = {}
+    gaps: dict[tuple[int, int], frozenset[int] | SparseMatrix] = {}
     a_viol = []
-    for (lam, mu, tails), PiE in first_grid.items():
-        key = (lam.source, tails)
-        if key not in gaps:
-            gap = _gap_set(T, tails, lam.source)
-            gaps[key] = gap_product(T, tails, lam.source) if gap is None else gap
-        gap = gaps[key]
+    for (i, j, tails), size in first_grid.items():
+        lam, mu = paths[i], paths[j]
+        if (i, tails) not in gaps:
+            nus = rows[(i, tails)]
+            gap = _gap_set(T, nus, lam.source)
+            gaps[(i, tails)] = gap_product(T, nus, lam.source) if gap is None else gap
+        gap = gaps[(i, tails)]
         if isinstance(gap, SparseMatrix):
             vanished = (T.op(lam) @ gap @ T.op(mu).adjoint()).is_zero()
         else:
             vanished = not T.injections.product(lam, mu, gap)
         if vanished:
-            a_viol.append(
-                f"theta({lam.token()},{mu.token()}) vanished in grid of size {len(PiE)}"
-            )
-    b_viol = _route_b(T, gap_vanishing(T, S))
+            a_viol.append(f"theta({lam.token()},{mu.token()}) vanished in grid of size {size}")
+    b_viol = _route_b(T, T.gap_vanishing(S))
     return FaithfulnessVerdict(not a_viol, not b_viol, a_viol, b_viol)
+
+
+def _extensions(index: PathIndex, i: int) -> int:
+    """The mask of the numbered paths lam.nu with d(nu) > 0, for lam path i."""
+    lam = index.paths[i]
+    out = 0
+    for j, rho in enumerate(index.paths):
+        if j != i and rho.range == lam.range and lam.degree <= rho.degree:
+            if _split(rho, lam.degree)[0] == lam:
+                out |= 1 << j
+    return out
+
+
+def _nonzero_tails(
+    S: FamilyCollection, index: PathIndex, i: int, tails: int
+) -> tuple[Path, ...] | None:
+    """The tails nu of lam.nu in the mask, lam path i, when their family is
+    not in S (the matrix units of row lam are universally nonzero); None
+    when it is."""
+    lam = index.paths[i]
+    nus = sorted((_split(index.paths[j], lam.degree)[1] for j in _bits(tails)), key=path_sort_key)
+    if member(PathFamily(lam.graph, lam.source, nus), S) is Membership.YES:
+        return None
+    return tuple(nus)
 
 
 def shift_gaps_check(T: CKFamily, members: Iterable[Path], mu: Path):
@@ -753,7 +796,7 @@ class UniquenessHypotheses:
 def check_uniqueness_hypotheses(T: CKFamily, S: FamilyCollection) -> UniquenessHypotheses:
     """Verified relations, route (b) of the faithfulness check, and condition (C)."""
     return UniquenessHypotheses(
-        verify_family(T, S).ok, not _route_b(T, gap_vanishing(T, S)), condition_c(S).ok
+        verify_family(T, S).ok, not _route_b(T, T.gap_vanishing(S)), condition_c(S).ok
     )
 
 
@@ -791,18 +834,35 @@ def gauge_unitary(T: CKFamily, z: Sequence[complex]) -> np.ndarray:
 
 
 def gauge_unitary_check(T: CKFamily, zs: Iterable[Sequence[complex]]) -> float:
-    """max over z, lam of || U_z t_lam U_z* - z^{d(lam)} t_lam ||."""
+    """max over z, lam of || U_z t_lam U_z* - z^{d(lam)} t_lam ||.
+
+    The 2-norm of a difference D (an SVD) is taken only where it can raise
+    the maximum.  Every matrix has ||D||_2 <= sqrt(||D||_1 ||D||_inf)
+    (Schur), so D is skipped when it is zero, or when that bound, widened by
+    1e-6 against the rounding of the SVD, is at most the maximum so far and
+    its column and row sums are not subnormal (where their rounding is not
+    relative).  The result is the maximum of the same norms as with every
+    SVD taken.
+    """
     import numpy as np
 
+    tiny = np.finfo(float).tiny
     worst = 0.0
     for z in zs:
         U = gauge_unitary(T, z)
+        U_star = U.conj().T
         for lam in T.graph.all_paths():
             mat = T.op(lam).to_dense()
-            dev = np.linalg.norm(
-                U @ mat @ U.conj().T - _z_power(z, lam.degree) * mat, 2
-            )
-            worst = max(worst, float(dev))
+            D = U @ mat @ U_star - _z_power(z, lam.degree) * mat
+            entries = np.abs(D)
+            norm1 = entries.sum(axis=0).max(initial=0.0)
+            norm_inf = entries.sum(axis=1).max(initial=0.0)
+            if not norm1 or (
+                min(norm1, norm_inf) >= tiny
+                and np.sqrt(norm1) * np.sqrt(norm_inf) * (1 + 1e-6) <= worst
+            ):
+                continue
+            worst = max(worst, float(np.linalg.norm(D, 2)))
     return worst
 
 

@@ -41,7 +41,9 @@ from kgraphck.repn import (
     CKFamily,
     FaithfulnessVerdict,
     GapVanishing,
+    _z_power,
     gap_product,
+    gauge_unitary,
     nonzero_theta_pattern,
     theta,
     verify_family,
@@ -168,6 +170,81 @@ def naive_pi_closure(members, budget=100_000):
                         closed.add(cand)
                         work = True
     return tuple(sorted(closed, key=path_sort_key))
+
+
+def path_set_close(
+    base: frozenset[Path],
+    new: Iterable[Path],
+    budget: int,
+    exts: dict[tuple[Path, Path], tuple[Path, ...]] | None = None,
+    products: dict[tuple[Path, Path], Path] | None = None,
+) -> frozenset[Path]:
+    """``PathIndex.close`` on frozensets of paths: the least closed superset
+    of ``base | new``, for a closed ``base``, computed semi-naively.
+
+    Each added path is processed once, against itself and the paths
+    processed before it, so a triple (lam, mu, sigma) is visited once and
+    triples inside ``base`` never are.  ``exts`` keeps Ext(mu; {sigma}) and
+    ``products`` each lam.alpha; closures over one graph may share them.
+    Returns ``base`` itself when every new path is in it.  The budget counts
+    (lam, mu, sigma, alpha) steps.
+    """
+    new = [p for p in new if p not in base]
+    if not new:
+        return base
+    matched: dict[tuple[Degree, str], list[Path]] = {}  # by (degree, source)
+    by_range: dict[str, list[Path]] = {}
+    exts = {} if exts is None else exts
+    products = {} if products is None else products
+
+    def admit(p: Path) -> None:
+        matched.setdefault((p.degree, p.source), []).append(p)
+        by_range.setdefault(p.range, []).append(p)
+
+    def tails(mu: Path, sigma: Path) -> tuple[Path, ...]:
+        out = exts.get((mu, sigma))
+        if out is None:
+            out = exts[(mu, sigma)] = ext(mu, (sigma,))
+        return out
+
+    for p in base:
+        admit(p)
+    closed = set(base)
+    queue = []
+    for p in new:
+        if p not in closed:
+            closed.add(p)
+            queue.append(p)
+    steps = 0
+    while queue:
+        p = queue.pop()
+        admit(p)
+        # every triple holding p, once: p as lam; else p as mu; else p as sigma
+        work = [
+            (p, tails(mu, sigma))
+            for mu in matched[(p.degree, p.source)]
+            for sigma in by_range[mu.range]
+        ]
+        for sigma in by_range[p.range]:
+            alphas = tails(p, sigma)
+            if alphas:
+                work += [(lam, alphas) for lam in matched[(p.degree, p.source)] if lam != p]
+        for mu in by_range[p.range]:
+            alphas = tails(mu, p) if mu != p else ()
+            if alphas:
+                work += [(lam, alphas) for lam in matched[(mu.degree, mu.source)] if lam != p]
+        for lam, alphas in work:
+            for alpha in alphas:
+                steps += 1
+                if steps > budget:
+                    raise ClosureBudgetExceeded(f"pi_closure exceeded {budget} steps")
+                cand = products.get((lam, alpha))
+                if cand is None:
+                    cand = products[(lam, alpha)] = compose(lam, alpha)
+                if cand not in closed:
+                    closed.add(cand)
+                    queue.append(cand)
+    return frozenset(closed)
 
 
 def brute_is_exhaustive(E, window_paths):
@@ -488,6 +565,20 @@ def universe_gap_vanishing(T: CKFamily, S: FamilyCollection) -> GapVanishing:
         elif vanishes:
             outside.append(F)
     return GapVanishing(members_vanish, tuple(outside))
+
+
+def every_svd_gauge_unitary_check(T: CKFamily, zs) -> float:
+    """gauge_unitary_check with the 2-norm (an SVD) of every difference."""
+    import numpy as np
+
+    worst = 0.0
+    for z in zs:
+        U = gauge_unitary(T, z)
+        for lam in T.graph.all_paths():
+            mat = T.op(lam).to_dense()
+            dev = np.linalg.norm(U @ mat @ U.conj().T - _z_power(z, lam.degree) * mat, 2)
+            worst = max(worst, float(dev))
+    return worst
 
 
 def matrix_only(T: CKFamily) -> CKFamily:

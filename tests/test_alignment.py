@@ -7,7 +7,7 @@ from kgraphck.errors import ClosureBudgetExceeded, RangeMismatch
 from kgraphck.kgraph import compose, segment, validate
 from kgraphck.alignment import (
     PathFamily,
-    _close,
+    PathIndex,
     ext,
     ext_family,
     family,
@@ -314,17 +314,46 @@ def test_pi_closure_matches_naive_and_brute():
 def test_prefix_closures_match_per_window_closure():
     # extending the closure of a window's prefix by its next path gives the
     # closure of the longer prefix, also when every closure over one graph
-    # shares its Ext and product memos; a path already in the grid gives
-    # back the grid itself
-    memos: dict[int, tuple[dict, dict]] = {}
+    # shares one path index and so its Ext and product memos; a path already
+    # in the grid gives back the grid itself
+    indexes: dict[int, PathIndex] = {}
     for name, window in CLOSURE_WINDOWS:
-        exts, products = memos.setdefault(id(window[0].graph), ({}, {}))
-        grid = frozenset()
+        index = indexes.setdefault(id(window[0].graph), PathIndex())
+        grid = 0
         for k, p in enumerate(window):
             before = grid
-            grid = _close(grid, (p,), 100_000, exts, products)
-            assert grid == frozenset(pi_closure(window[: k + 1])), (name, window[: k + 1])
-            assert (grid is before) == (p in before)
+            grid = index.close(grid, (p,))
+            assert index.decode(grid) == pi_closure(window[: k + 1]), (name, window[: k + 1])
+            assert (grid == before) == (p in index.decode(before))
+
+
+def test_index_closure_matches_path_set_closure():
+    # the bitmask closure against the frozenset one, prefix by prefix, each
+    # with one index or one pair of memos per graph, including the cyclic
+    # windows; both give up at the same step budget
+    indexes: dict[int, PathIndex] = {}
+    memos: dict[int, tuple[dict, dict]] = {}
+    for name, window in CLOSURE_WINDOWS:
+        index = indexes.setdefault(id(window[0].graph), PathIndex())
+        exts, products = memos.setdefault(id(window[0].graph), ({}, {}))
+        grid, want = 0, frozenset()
+        for k, p in enumerate(window):
+            grid = index.close(grid, (p,))
+            want = oracles.path_set_close(want, (p,), 100_000, exts, products)
+            assert set(index.decode(grid)) == want, (name, window[: k + 1])
+    for name, window in CLOSURE_WINDOWS[1::4]:
+        steps = sum(
+            len(ext(mu, [sigma]))
+            for lam, mu in pairs_ds(pi_closure(window))
+            for sigma in pi_closure(window)
+            if sigma.range == mu.range
+        )
+        assert oracles.path_set_close(frozenset(), window, steps) == frozenset(pi_closure(window))
+        for budget in (steps - 1, steps // 2):
+            with pytest.raises(ClosureBudgetExceeded):
+                PathIndex().close(0, window, budget)
+            with pytest.raises(ClosureBudgetExceeded):
+                oracles.path_set_close(frozenset(), window, budget)
 
 
 def test_pi_closure_budget_counts_each_step_once():

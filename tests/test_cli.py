@@ -324,6 +324,17 @@ def test_verify_report_config(files, capsys):
     }
 
 
+def test_verify_negative_windows_exits_2(files, capsys):
+    # a negative count would skip the matrix-unit stage and still pass
+    assert main(["verify", files["omega11"], "--json", "--windows", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --windows must be at least 0, got -1\n"
+    assert main(["verify", files["omega11"], "--json", "--windows", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert not any(r["name"].startswith("matrix-units") for r in doc["results"])
+
+
 def test_verify_cyclic_graph_exits_2(files, capsys):
     assert main(["verify", files["g1"]]) == 2
 

@@ -6,7 +6,13 @@ import pytest
 
 from kgraphck.degree import Degree
 from kgraphck import repn
-from kgraphck.errors import HypothesisNotMet, IncompleteFamily, InvariantViolated, PairNotInGrid
+from kgraphck.errors import (
+    HypothesisNotMet,
+    IncompleteFamily,
+    InexactUniverse,
+    InvariantViolated,
+    PairNotInGrid,
+)
 from kgraphck.kgraph import compose
 from kgraphck.alignment import family, pairs_ds, pi_closure
 from kgraphck.satiation import (
@@ -463,6 +469,20 @@ def test_faithful_negative_larger_collection(omega11, sat_a):
     verdict2 = faithful_on_core_check(T_full, sat_a)
     assert not verdict2.faithful
     assert verdict2.routes_agree
+
+
+def test_faithful_needs_exact_universe(omega21):
+    # route (a) reads membership of tail families, which a capped universe
+    # cannot decide; a collection with no family outside it needs none
+    T = boundary_rep(omega21, satiate(FamilyCollection(omega21)))
+    capped = FamilyCollection(omega21, max_family_size=1)
+    with pytest.raises(InexactUniverse):
+        faithful_on_core_check(T, capped)
+    with pytest.raises(InexactUniverse):
+        nonzero_theta_pattern(capped, pi_closure([omega21.vertex_path("0,0")]))
+    no_families = FamilyCollection(omega21, max_family_size=0)
+    assert no_families.universe_all() == ()
+    assert faithful_on_core_check(T, no_families).route_a_ok
 
 
 def test_zero_family_not_faithful(omega11):
