@@ -45,7 +45,7 @@ from .boundary import (
     separation_degree,
 )
 from .formal import FormalElement, formal_mul, formal_star, gauge_expectation
-from .matrices import SparseMatrix
+from .matrices import PartialInjection, SparseMatrix
 from .repn import (
     CKFamily,
     UniquenessHypotheses,

@@ -12,11 +12,12 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import Sequence
 
 from . import __version__
 from .degree import Degree
 from .errors import BUDGET_ERRORS, KGraphError, ParseError, PreconditionFailed
-from .kgraph import KGraph, validate
+from .kgraph import KGraph, Path, validate
 from .alignment import PathFamily, ext, family, mce, pi_closure
 from .exhaustive import Status, fe_enumerate, is_exhaustive, minimal_exhaustive
 from .satiation import FamilyCollection, is_satiated, satiate
@@ -52,7 +53,10 @@ def _parse_degree(text: str, rank: int) -> Degree:
         raise ParseError(f"degree {text!r} is not a list of integers") from None
     if len(parts) != rank:
         raise ParseError(f"degree {text!r} has {len(parts)} coordinates, rank is {rank}")
-    return Degree(*parts)
+    try:
+        return Degree(*parts)
+    except ValueError as exc:
+        raise ParseError(f"degree {text!r}: {exc}") from None
 
 
 def _load_graph(path: str) -> KGraph:
@@ -67,7 +71,10 @@ def _load_collection(graph: KGraph, args) -> FamilyCollection:
     base = FamilyCollection(
         graph, (), depth=depth, max_family_size=args.max_size, budget=args.budget
     )
-    return base.with_members(members)
+    try:
+        return base.with_members(members)
+    except ValueError as exc:
+        raise ParseError(f"generators {args.generators!r}: {exc}") from None
 
 
 class Report:
@@ -106,6 +113,19 @@ class Report:
 
 def _family_tokens(fam: PathFamily) -> list[str]:
     return [p.token() for p in fam]
+
+
+def _random_element(
+    rng: random.Random, paths: Sequence[Path], terms: int, bound: int
+) -> FormalElement:
+    """A sum of `terms` drawn t_lam t_mu* with s(lam) = s(mu), each with an
+    integer coefficient in [-bound, bound]."""
+    out = {}
+    for _ in range(terms):
+        lam = rng.choice(paths)
+        mu = rng.choice([p for p in paths if p.source == lam.source])
+        out[(lam, mu)] = out.get((lam, mu), 0) + Fraction(rng.randint(-bound, bound))
+    return FormalElement(out)
 
 
 # -- subcommand handlers ------------------------------------------------------------
@@ -420,13 +440,7 @@ def cmd_verify(args) -> int:
         worst = 0.0
         rng = random.Random(f"{args.seed}:gauge")
         for _ in range(5):
-            terms = {}
-            for _ in range(4):
-                lam = rng.choice(all_paths)
-                mates = [p for p in all_paths if p.source == lam.source]
-                mu = rng.choice(mates)
-                terms[(lam, mu)] = terms.get((lam, mu), 0) + Fraction(rng.randint(-2, 2))
-            a = FormalElement(terms)
+            a = _random_element(rng, all_paths, 4, 2)
             avg = sampled_gauge_average(T, a, zs)
             exact = evaluate(gauge_expectation(a), T).to_dense()
             worst = max(worst, float(np.abs(avg - exact).max()))
@@ -441,13 +455,7 @@ def cmd_verify(args) -> int:
         ok = True
         rng = random.Random(f"{args.seed}:contraction")
         for _ in range(10):
-            terms = {}
-            for _ in range(5):
-                lam = rng.choice(all_paths)
-                mates = [p for p in all_paths if p.source == lam.source]
-                mu = rng.choice(mates)
-                terms[(lam, mu)] = terms.get((lam, mu), 0) + Fraction(rng.randint(-3, 3))
-            lhs, rhs = expectation_contraction_check(T, FormalElement(terms), hyp)
+            lhs, rhs = expectation_contraction_check(T, _random_element(rng, all_paths, 5, 3), hyp)
             ok = ok and lhs <= rhs + 1e-9
         report.add("expectation-contraction", ok)
 

@@ -37,6 +37,7 @@ from kgraphck.kgraph import (
 from kgraphck.alignment import PathFamily, ext, has_prefix_in, pairs_ds, pi_closure
 from kgraphck.boundary import ConditionCReport, boundary_paths, condition_c, is_aperiodic_path
 from kgraphck.exhaustive import Status, _source_free_from, _subset_count, fe_enumerate
+from kgraphck.matrices import SparseMatrix
 from kgraphck.repn import (
     CKFamily,
     FaithfulnessVerdict,
@@ -581,11 +582,22 @@ def every_svd_gauge_unitary_check(T: CKFamily, zs) -> float:
     return worst
 
 
+def unkept_gap_product(T: CKFamily, members, v: str) -> SparseMatrix:
+    """prod over E of (t_v - t_lam t_lam*) from the unit, in path order,
+    with nothing kept: the reference for ``repn.gap_product``."""
+    out = SparseMatrix.identity(T.dim)
+    for lam in sorted(set(members), key=path_sort_key):
+        out = out @ (T.vertex_op(v) - T.op(lam) @ T.op(lam).adjoint())
+    return out
+
+
 def matrix_only(T: CKFamily) -> CKFamily:
-    """T without its partial-injection maps: every check on the copy runs
-    on ``SparseMatrix`` products, the reference for the map path."""
-    out = CKFamily(T.graph, T.dim, T.ops, basis=T.basis)
-    out.injections = None
+    """T with every operator a ``SparseMatrix`` of the same entries: every
+    check on the copy runs on ``SparseMatrix`` products, the reference for
+    the ``PartialInjection`` operators (``CKFamily`` would narrow them back,
+    so the copy's operators are set after it is built)."""
+    out = CKFamily(T.graph, T.dim, {}, basis=T.basis)
+    out.ops = {lam: SparseMatrix(mat.rows, mat.cols, mat.data) for lam, mat in T.ops.items()}
     return out
 
 

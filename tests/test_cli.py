@@ -339,6 +339,28 @@ def test_verify_cyclic_graph_exits_2(files, capsys):
     assert main(["verify", files["g1"]]) == 2
 
 
+def test_negative_degree_exits_2(files, capsys):
+    # Degree's ValueError is a parse error at the command line
+    assert main(["paths", files["omega21"], "0,0", "--depth=-1,0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: degree '-1,0': degree coordinates must be naturals, got (-1, 0)\n"
+    )
+
+
+def test_vertex_path_generator_exits_2(files, tmp_path, capsys):
+    gens = tmp_path / "vertex.json"
+    gens.write_text(json.dumps({"families": [["0,0"]]}))
+    assert main(["satiate", files["omega21"], "--generators", str(gens)]) == 2
+    assert capsys.readouterr().err.endswith("PathFamily(0,0: {0,0}) contains a vertex path\n")
+
+
+def test_generator_outside_universe_exits_2(files, capsys):
+    # c1:0,0 has degree (1,0), outside the window of depth (0,0)
+    argv = ["satiate", files["omega21"], "--generators", files["gens"], "--depth", "0,0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith("is not in the family universe\n")
+
+
 def test_json_reports_deterministic(files, capsys):
     args = ["verify", files["omega21"], "--json", "--seed", "42", "--windows", "4"]
     assert main(args) == 0

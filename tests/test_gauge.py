@@ -18,7 +18,7 @@ from kgraphck.boundary import omega
 from kgraphck.cli import _bundle_load, _bundle_of
 from kgraphck.degree import Degree
 from kgraphck.graphio import parse_path
-from kgraphck.matrices import SparseMatrix
+from kgraphck.matrices import PartialInjection, SparseMatrix
 from kgraphck.repn import CKFamily, boundary_rep, gauge_grid, gauge_unitary_check
 from kgraphck.satiation import FamilyCollection, satiate
 
@@ -109,7 +109,8 @@ def _edit(doc, graph, kind):
 def test_gauge_check_matches_every_svd_on_tampered_bundles(name, kind):
     g, T = _representation(name)
     bad = _bundle_load(g, _edit(_bundle_of(T), g, kind))
-    assert (bad.injections is None) == (kind in ("half", "two-to-one", "skew", "tiny"))
+    partial = all(isinstance(mat, PartialInjection) for mat in bad.ops.values())
+    assert partial == (kind not in ("half", "two-to-one", "skew", "tiny"))
     zs = gauge_grid(g)
     for family in (bad, bad.to_complex()):
         got = gauge_unitary_check(family, zs)

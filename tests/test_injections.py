@@ -1,28 +1,32 @@
-"""The map path of partial-injection families against the SparseMatrix path.
+"""``PartialInjection`` operators against ``SparseMatrix`` ones.
 
-Every check that ``repn`` decides with index maps is run again on
-``oracles.matrix_only`` of the same family, which computes it with
-``SparseMatrix`` products, and the two results must be equal: relation
-checks, generator gap products, each universe family's gap product,
-the faithfulness verdict, matrix units and shift gaps.  The families are
-boundary representations and tampered bundles, some of which stay partial
-injections, so the map path both passes and finds differences.
+The operator algebra is checked operation by operation against the
+``SparseMatrix`` result on drawn operands.  Every check of ``repn`` is run
+on families of partial injections and again on ``oracles.matrix_only`` of
+the same family, whose operators are all ``SparseMatrix``, and the two
+results must be equal: relation checks, generator gap products, universe
+families' gap products, the faithfulness verdict, matrix units and shift
+gaps.  The families are boundary representations and tampered bundles,
+some of which stay partial injections, so the checks both pass and find
+differences on them.
 """
 
+import gc
 import json
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from kgraphck import repn
 from kgraphck.boundary import omega
 from kgraphck.cli import _bundle_load, _bundle_of, main
 from kgraphck.degree import Degree
 from kgraphck.alignment import has_prefix_in, pi_closure
-from kgraphck.matrices import SparseMatrix
+from kgraphck.matrices import PartialInjection, SparseMatrix, narrow
 from kgraphck.repn import (
-    PartialInjections,
-    _gap_set,
+    CKFamily,
     boundary_rep,
     faithful_on_core_check,
     gap_product,
@@ -78,21 +82,23 @@ def tamper(doc: dict, graph, kind: str) -> dict:
     return doc
 
 
-def _diagonal(dim: int, indices) -> SparseMatrix:
-    return SparseMatrix(dim, dim, {(i, i): Fraction(1) for i in indices})
+def _partial(T) -> bool:
+    return all(isinstance(mat, PartialInjection) for mat in T.ops.values())
 
 
 def assert_same_as_matrices(T, S, rng: random.Random) -> None:
-    """Every map-path decision on T equals the SparseMatrix result."""
+    """Every check on T equals the result on all-SparseMatrix operators."""
     R = oracles.matrix_only(T)
     g = T.graph
     assert T.relation_checks() == R.relation_checks()
+    # TCK3 over every pair, not only those with a common range
+    assert repn._tck3(R, g.all_paths(), common_range=False) == T.relation_checks()[2]
     assert verify_family(T, S).results == verify_family(R, S).results
     universe = S.universe_all()
     for F in rng.sample(universe, min(len(universe), 100)):
-        gap = _gap_set(T, F.members, F.vertex)
-        if gap is not None:
-            assert gap_product(T, F.members, F.vertex) == _diagonal(T.dim, gap)
+        want = oracles.unkept_gap_product(R, F.members, F.vertex)
+        for gap in (gap_product(T, F.members, F.vertex), gap_product(R, F.members, F.vertex)):
+            assert gap == want and want == gap
     assert gap_vanishing(T, S) == gap_vanishing(R, S)
     assert faithful_on_core_check(T, S) == faithful_on_core_check(R, S)
     paths = g.all_paths()
@@ -127,10 +133,9 @@ def test_map_path_matches_matrices(name):
     rng = random.Random(f"{name}:maps")
     small, big = chain[0], chain[-1]
     T = boundary_rep(g, small)
-    assert T.injections is not None and T.injections.vertex_sets is not None
+    assert _partial(T)
     # the representation of the smaller collection against the larger one:
-    # the map path finds nonzero generator gaps and vanishing matrix units
-    # are impossible, so CK fails while the relations hold
+    # its generator gaps are nonzero, so CK fails while the relations hold
     assert not verify_family(T, big).ok
     for S in chain:
         assert_same_as_matrices(boundary_rep(g, S), S, rng)
@@ -139,7 +144,7 @@ def test_map_path_matches_matrices(name):
     doc = _bundle_of(T)
     for kind in LARGE.get(name, TAMPERS):
         U = _bundle_load(g, tamper(doc, g, kind))
-        assert (U.injections is None) == (kind in ("scaled", "two-to-one"))
+        assert _partial(U) == (kind not in ("scaled", "two-to-one"))
         assert not all(r.ok for r in U.relation_checks())
         assert_same_as_matrices(U, small, rng)
     if name not in LARGE:
@@ -147,26 +152,114 @@ def test_map_path_matches_matrices(name):
 
 
 def test_detection(omega21):
+    # CKFamily narrows each 0/1 partial injection, whatever the rest of the
+    # family holds, and matrix_only undoes it
     S = satiate(FamilyCollection(omega21))
     T = boundary_rep(omega21, S)
-    J = T.injections
+    assert _partial(T) and all(r.ok for r in T.relation_checks())
+    R = oracles.matrix_only(T)
+    assert all(type(mat) is SparseMatrix for mat in R.ops.values())
     for lam, mat in T.ops.items():
-        assert mat.data == {(i, j): Fraction(1) for j, i in J.maps[lam].items()}
-    assert J.tck1() and J.tck2(omega21.all_paths()) and J.tck3(omega21.all_paths())
-    assert T.to_complex().injections is None
+        assert mat.data == R.ops[lam].data
+        assert all(type(x) is Fraction for x in mat.data.values())
+        again = CKFamily(omega21, T.dim, {lam: R.ops[lam]}).op(lam)
+        assert isinstance(again, PartialInjection) and again == mat
+    assert not any(isinstance(mat, PartialInjection) for mat in T.to_complex().ops.values())
     doc = _bundle_of(T)
-    assert _bundle_load(omega21, tamper(doc, omega21, "scaled")).injections is None
-    assert _bundle_load(omega21, tamper(doc, omega21, "two-to-one")).injections is None
-    zero_vertex = _bundle_load(omega21, tamper(doc, omega21, "zero-vertex")).injections
-    assert zero_vertex.projections is not None and zero_vertex.vertex_sets is None
-    off = _bundle_load(omega21, tamper(doc, omega21, "off-diagonal")).injections
-    assert off.projections is None and off.vertex_sets is None
-    dropped = _bundle_load(omega21, tamper(doc, omega21, "dropped")).injections
-    assert dropped.vertex_sets is not None and not dropped.tck2(omega21.all_paths())
-    # an incomplete family stays on the matrix path, which names the gap
-    lam = omega21.all_paths()[-1]
-    partial = {p: m for p, m in T.ops.items() if p != lam}
-    assert PartialInjections.detect(omega21, T.dim, partial) is None
+    for kind in TAMPERS:
+        U = _bundle_load(omega21, tamper(doc, omega21, kind))
+        narrowed = [lam for lam, mat in U.ops.items() if isinstance(mat, PartialInjection)]
+        assert len(narrowed) == len(U.ops) - (kind in ("scaled", "two-to-one"))
+        assert U.relation_checks() == oracles.matrix_only(U).relation_checks()
+    dropped = _bundle_load(omega21, tamper(doc, omega21, "dropped"))
+    assert not dropped.relation_checks()[1].ok  # TCK2
+
+
+def _draw_partial(rng: random.Random, rows: int, cols: int) -> PartialInjection:
+    domain = rng.sample(range(cols), rng.randint(0, min(rows, cols)))
+    return PartialInjection(rows, cols, dict(zip(domain, rng.sample(range(rows), len(domain)))))
+
+
+def _draw_rational(rng: random.Random, rows: int, cols: int) -> SparseMatrix:
+    data = {}
+    for _ in range(rng.randint(0, rows * cols)):
+        data[(rng.randrange(rows), rng.randrange(cols))] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+    return SparseMatrix(rows, cols, data)
+
+
+def _sparse(mat) -> SparseMatrix:
+    return SparseMatrix(mat.rows, mat.cols, mat.data)
+
+
+def _entries(mat) -> dict:
+    return {k: (type(v), v) for k, v in mat.data.items()}
+
+
+def _assert_same(got, want, stays: bool) -> None:
+    assert type(want) is SparseMatrix
+    assert _entries(got) == _entries(want)
+    assert got == want and want == got and not got != want and not want != got
+    assert got.is_zero() == want.is_zero() and got.nnz() == want.nnz()
+    assert got.max_abs() == want.max_abs()
+    assert (got.to_dense() == want.to_dense()).all()
+    assert isinstance(got, PartialInjection) == stays
+
+
+def test_operator_algebra_matches_sparse_matrices():
+    # every operation on partial injections, alone or with rational
+    # SparseMatrix operands, has exactly the entries of the all-SparseMatrix
+    # result, and stays a PartialInjection exactly when both operands are
+    # partial injections and the result is one: a product, a sum of
+    # disjoint supports, a difference of a sub-injection
+    rng = random.Random("operator-algebra")
+    stayed = {"+": 0, "-": 0}
+    promoted = {"+": 0, "-": 0}
+    for _ in range(300):
+        n, m, p = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a = _draw_partial(rng, n, m)
+        sub = PartialInjection(n, m, {j: i for j, i in a.map.items() if rng.random() < 0.5})
+        overlap = PartialInjection(n, m, dict(sub.map))
+        free_rows = [i for i in range(n) if i not in a.adjoint().map]
+        if sub.map and free_rows:
+            overlap.map[next(iter(sub.map))] = free_rows[0]  # a column of a, another row
+        for b in (_draw_partial(rng, n, m), sub, overlap, a, _draw_rational(rng, n, m)):
+            for x, y in ((a, b), (b, a)):
+                assert (x == y) == (_sparse(x) == _sparse(y)) == (y == x)
+                both = isinstance(x, PartialInjection) and isinstance(y, PartialInjection)
+                for name, fn in (("+", operator.add), ("-", operator.sub)):
+                    want = fn(_sparse(x), _sparse(y))
+                    stays = both and isinstance(narrow(want), PartialInjection)
+                    _assert_same(fn(x, y), want, stays)
+                    if both:
+                        (stayed if stays else promoted)[name] += 1
+        inverted = _draw_partial(rng, m, p)
+        inverted.inverse()  # a product may then walk a's map instead
+        for y in (_draw_partial(rng, m, p), inverted, _draw_rational(rng, m, p)):
+            _assert_same(a @ y, _sparse(a) @ _sparse(y), isinstance(y, PartialInjection))
+        for x in (_draw_partial(rng, p, n), _draw_rational(rng, p, n)):
+            _assert_same(x @ a, _sparse(x) @ _sparse(a), isinstance(x, PartialInjection))
+        for scalar in (1, Fraction(1), Fraction(-3, 2), 0, 2, 1.0, 1j):
+            want = _sparse(a) * scalar
+            for got in (a * scalar, scalar * a):
+                _assert_same(got, want, type(scalar) is not float and scalar == 1)
+        adj = a.adjoint()
+        assert isinstance(adj, PartialInjection) and adj.adjoint() == a
+        assert _entries(adj) == _entries(_sparse(a).adjoint())
+        # the adjoint keeps a's map, not a, so neither waits for the cycle
+        # collector
+        assert all(r is not a for r in gc.get_referents(adj))
+        assert isinstance(narrow(_sparse(a)), PartialInjection) and narrow(_sparse(a)) == a
+        wrong = PartialInjection(m + 1, m + 1, {})
+        for bad in (lambda: a + wrong, lambda: a - _sparse(wrong), lambda: a @ wrong):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                bad()
+        assert a != wrong and wrong != _sparse(a) and a != "a"
+    # the draws reach both sides of each rule
+    assert all(stayed.values()) and all(promoted.values())
+    # narrow keeps what is not a 0/1 partial injection
+    for data in ({(0, 0): 1.0}, {(0, 0): Fraction(2)}, {(0, 0): Fraction(1), (1, 0): Fraction(1)}):
+        mat = SparseMatrix(2, 2, data)
+        assert narrow(mat) is mat
 
 
 @pytest.mark.parametrize(
@@ -174,8 +267,8 @@ def test_detection(omega21):
     [(None, "exact"), ("scaled", "float")] + [(kind, "exact") for kind in TAMPERS],
 )
 def test_verify_report_matches_matrix_path(tmp_path, capsys, monkeypatch, kind, backend):
-    # the whole report, with the map path and with every family on the
-    # matrix path; the untampered bundle is checked against a larger
+    # the whole report, with partial injections and with every operator a
+    # SparseMatrix; the untampered bundle is checked against a larger
     # collection, so its generator gaps fail
     g = omega(2, Degree(2, 1))
     graph = tmp_path / "g.json"
@@ -192,6 +285,6 @@ def test_verify_report_matches_matrix_path(tmp_path, capsys, monkeypatch, kind, 
     for _ in range(2):
         code = main(argv)
         reports.append((code, capsys.readouterr()))
-        monkeypatch.setattr(PartialInjections, "detect", classmethod(lambda cls, *a: None))
+        monkeypatch.setattr(repn, "narrow", lambda mat: mat)
     assert reports[0] == reports[1]
     assert reports[0][0] == 1

@@ -24,7 +24,7 @@ from kgraphck.satiation import (
 )
 from kgraphck.boundary import boundary_paths, omega
 from kgraphck.formal import FormalElement, gauge_expectation
-from kgraphck.matrices import SparseMatrix
+from kgraphck.matrices import PartialInjection, SparseMatrix
 from kgraphck.repn import (
     CKFamily,
     boundary_rep,
@@ -190,7 +190,7 @@ def test_rep_self_check_raises_typed_errors(monkeypatch, omega11, sat_a):
     assert boundary_rep(omega11, sat_a, verify=False).dim == 6
 
     monkeypatch.setattr(repn, "verify_family", lambda T, S: repn.FamilyReport())
-    monkeypatch.setattr(SparseMatrix, "is_zero", lambda self: True)
+    monkeypatch.setattr(PartialInjection, "is_zero", lambda self: True)
     with pytest.raises(InvariantViolated, match="zero vertex operator"):
         boundary_rep(omega11, sat_a)
 
