@@ -7,7 +7,8 @@ across equal-degree, equal-source pairs; it indexes the matrix-unit grids
 used by the representation module.  One semi-naive routine,
 :meth:`PathIndex.close`, computes every closure on numbered paths, a grid
 being an ``int`` bitmask: it extends an already-closed set by new paths and
-examines only the triples that touch them.
+examines only the triples that touch them.  The same index answers every
+matrix-unit query about a grid: its pairs, and the tails of a row index.
 """
 
 from __future__ import annotations
@@ -172,17 +173,6 @@ def has_prefix_in(p: Path, members: Iterable[Path]) -> bool:
 # -- grid closure --------------------------------------------------------------
 
 
-def pairs_ds(paths: Iterable[Path]) -> tuple[tuple[Path, Path], ...]:
-    """All ordered pairs from the set with equal degree and equal source."""
-    items = sorted(set(paths), key=path_sort_key)
-    return tuple(
-        (lam, mu)
-        for lam in items
-        for mu in items
-        if lam.degree == mu.degree and lam.source == mu.source
-    )
-
-
 # closure steps after which a grid closure gives up: grids are finite, so
 # only a library bug reaches it
 _CLOSURE_BUDGET = 100_000
@@ -204,9 +194,12 @@ class PathIndex:
     (degree, source) and each range; ``exts`` maps (mu, sigma) to the mask of
     Ext(mu; {sigma}) and ``products`` maps (lam, tails mask) to the mask of
     the products lam.alpha.  Closures over one index share these memos.
+    The grid queries :meth:`pairs`, :meth:`tails` and :meth:`tail_paths`
+    keep each lam's proper extensions, with the count of paths examined, in
+    ``extensions``.
     """
 
-    __slots__ = ("paths", "index", "matched", "by_range", "exts", "products")
+    __slots__ = ("paths", "index", "matched", "by_range", "exts", "products", "extensions")
 
     def __init__(self):
         self.paths: list[Path] = []
@@ -215,6 +208,7 @@ class PathIndex:
         self.by_range: dict[str, int] = {}
         self.exts: dict[tuple[int, int], int] = {}
         self.products: dict[tuple[int, int], int] = {}
+        self.extensions: dict[int, tuple[int, int]] = {}
 
     def bit(self, p: Path) -> int:
         """The number of p, assigned on first use."""
@@ -236,6 +230,33 @@ class PathIndex:
     def decode(self, mask: int) -> tuple[Path, ...]:
         """The paths of mask in canonical order."""
         return tuple(sorted((self.paths[i] for i in _bits(mask)), key=path_sort_key))
+
+    def pairs(self, grid: int) -> list[tuple[int, list[int]]]:
+        """The grid's :func:`pairs_ds` in order, as each lam with its mus."""
+        paths = self.paths
+        order = sorted(_bits(grid), key=lambda i: paths[i].sort_key())
+        mates: dict[tuple[Degree, str], list[int]] = {}
+        for i in order:
+            mates.setdefault((paths[i].degree, paths[i].source), []).append(i)
+        return [(i, mates[(paths[i].degree, paths[i].source)]) for i in order]
+
+    def tails(self, i: int, grid: int) -> int:
+        """The mask of the lam.nu in the grid with d(nu) > 0, lam path i; lam's
+        extensions are kept, and extended by the paths numbered since."""
+        out, seen = self.extensions.get(i, (0, 0))
+        lam = self.paths[i]
+        for j in range(seen, len(self.paths)):
+            rho = self.paths[j]
+            if j != i and rho.range == lam.range and lam.degree <= rho.degree:
+                if _split(rho, lam.degree)[0] == lam:
+                    out |= 1 << j
+        self.extensions[i] = (out, len(self.paths))
+        return grid & out
+
+    def tail_paths(self, i: int, tails: int) -> tuple[Path, ...]:
+        """The nu of the lam.nu in a :meth:`tails` mask, lam path i, canonically ordered."""
+        d = self.paths[i].degree
+        return tuple(sorted((_split(self.paths[j], d)[1] for j in _bits(tails)), key=path_sort_key))
 
     def close(self, base: int, new: Iterable[Path], budget: int = _CLOSURE_BUDGET) -> int:
         """The least closed superset of ``base | new``, for a closed ``base``.
@@ -309,3 +330,10 @@ def pi_closure(members: Iterable[Path], budget: int = _CLOSURE_BUDGET) -> tuple[
     """
     index = PathIndex()
     return index.decode(index.close(0, members, budget))
+
+
+def pairs_ds(paths: Iterable[Path]) -> tuple[tuple[Path, Path], ...]:
+    """All ordered pairs from the set with equal degree and equal source."""
+    index = PathIndex()
+    rows = index.pairs(index.mask(paths))
+    return tuple((index.paths[i], index.paths[j]) for i, mus in rows for j in mus)

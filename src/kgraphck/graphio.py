@@ -30,7 +30,7 @@ def spec_from_dict(doc: Any) -> SkeletonSpec:
     for key in ("rank", "vertices", "edges", "squares"):
         _require(key in doc, f"missing field {key!r}")
     rank = doc["rank"]
-    _require(isinstance(rank, int) and rank >= 1, "rank must be an integer >= 1")
+    _require(type(rank) is int and rank >= 1, "rank must be an integer >= 1")
 
     vertices = doc["vertices"]
     _require(
@@ -49,7 +49,7 @@ def spec_from_dict(doc: Any) -> SkeletonSpec:
         )
         eid, color, rng, src = row
         _require(isinstance(eid, str) and "." not in eid, f"bad edge id {eid!r}")
-        _require(isinstance(color, int), f"edge {eid!r} has non-integer color {color!r}")
+        _require(type(color) is int, f"edge {eid!r} has non-integer color {color!r}")
         _require(
             isinstance(rng, str) and isinstance(src, str),
             f"edge {eid!r} endpoints must be vertex ids",
@@ -123,9 +123,10 @@ def parse_families(graph: KGraph, doc: Any):
     """Generator documents: {"families": [[token, ...], ...]}."""
     from .alignment import PathFamily
 
-    _require(isinstance(doc, dict) and "families" in doc, "expected {'families': [...]}")
+    families = doc.get("families") if isinstance(doc, dict) else None
+    _require(isinstance(families, list), "expected {'families': [...]}")
     out = []
-    for row in doc["families"]:
+    for row in families:
         _require(
             isinstance(row, list) and row and all(isinstance(t, str) for t in row),
             f"family {row!r} must be a nonempty list of path tokens",

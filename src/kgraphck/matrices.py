@@ -35,12 +35,12 @@ class SparseMatrix:
         self.data = {k: v for k, v in (data or {}).items() if v != 0}
 
     @classmethod
-    def zero(cls, rows: int, cols: int | None = None) -> "SparseMatrix":
-        return cls(rows, cols if cols is not None else rows)
+    def zero(cls, n: int) -> "SparseMatrix":
+        return cls(n, n)
 
     @classmethod
-    def identity(cls, n: int, one=Fraction(1)) -> "SparseMatrix":
-        return cls(n, n, {(i, i): one for i in range(n)})
+    def identity(cls, n: int) -> "SparseMatrix":
+        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
 
     def _check_shape(self, other: "SparseMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):

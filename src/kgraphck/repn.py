@@ -22,9 +22,9 @@ families outside it (:func:`gap_vanishing`, kept on the family for its
 collection), falling back to every universe family otherwise.  The family
 keeps its gap products, each extending the product over its sorted
 members but the last (:func:`gap_product`).  The faithfulness check
-builds each window's grid as a bitmask of numbered paths by extending the
-grid of its prefix, examines each distinct grid once and takes each row
-index's tails as the grid masked by its proper extensions.
+examines each distinct grid once.  Every grid computation (pairs, tails,
+the row test and theta) runs on the grid queries of
+:class:`~kgraphck.alignment.PathIndex`.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .errors import (
     PairNotInGrid,
     PreconditionFailed,
 )
-from .kgraph import KGraph, Path, compose, path_sort_key, _split
-from .alignment import PathFamily, PathIndex, _bits, ext, lambda_min, pairs_ds
+from .kgraph import KGraph, Path, compose, path_sort_key
+from .alignment import PathFamily, PathIndex, ext, lambda_min
 from .satiation import FamilyCollection, Membership, member
 from .boundary import boundary_paths, condition_c
 from .formal import FormalElement, formal_mul, gauge_expectation
@@ -188,10 +188,6 @@ class FamilyReport:
         return [r for r in self.results if not r.ok]
 
 
-def _dev(diff: SparseMatrix | PartialInjection) -> float:
-    return diff.max_abs()
-
-
 def _relation_checks(T: CKFamily) -> tuple[CheckResult, ...]:
     """TCK1-TCK3, each with its worst deviation and where it occurred.
 
@@ -211,12 +207,12 @@ def _tck1(T: CKFamily) -> CheckResult:
     bad = ""
     for v in g.vertices:
         tv = T.vertex_op(v)
-        d = max(_dev(tv @ tv - tv), _dev(tv.adjoint() - tv))
+        d = max((tv @ tv - tv).max_abs(), (tv.adjoint() - tv).max_abs())
         if d > worst:
             worst, bad = d, f"projection defect at {v}"
         for w in g.vertices:
             if w > v:
-                d = _dev(tv @ T.vertex_op(w))
+                d = (tv @ T.vertex_op(w)).max_abs()
                 if d > worst:
                     worst, bad = d, f"overlap of {v} and {w}"
     return CheckResult("TCK1", worst == 0.0, worst, bad)
@@ -229,7 +225,7 @@ def _tck2(T: CKFamily, paths: Sequence[Path]) -> CheckResult:
         for mu in paths:
             if lam.source != mu.range:
                 continue
-            d = _dev(T.op(lam) @ T.op(mu) - T.op(compose(lam, mu)))
+            d = (T.op(lam) @ T.op(mu) - T.op(compose(lam, mu))).max_abs()
             if d > worst:
                 worst, bad = d, f"({lam.token()}, {mu.token()})"
     return CheckResult("TCK2", worst == 0.0, worst, bad)
@@ -249,7 +245,7 @@ def _tck3(T: CKFamily, paths: Sequence[Path], common_range: bool) -> CheckResult
             rhs = zero
             for pair in lambda_min(lam, mu):
                 rhs = rhs + T.op(pair.alpha) @ T.op(pair.beta).adjoint()
-            d = _dev(lhs - rhs)
+            d = (lhs - rhs).max_abs()
             if d > worst:
                 worst, bad = d, f"({lam.token()}, {mu.token()})"
     return CheckResult("TCK3", worst == 0.0, worst, bad)
@@ -271,7 +267,7 @@ def verify_family(
     worst = 0.0
     bad = ""
     for fam in members:
-        d = _dev(gap_product(T, fam.members, fam.vertex))
+        d = gap_product(T, fam.members, fam.vertex).max_abs()
         if d > worst:
             worst, bad = d, f"gap product of {fam!r}"
     report.results.append(CheckResult("CK", worst == 0.0, worst, bad))
@@ -312,43 +308,35 @@ def boundary_rep(graph: KGraph, S: FamilyCollection, verify: bool = True) -> CKF
 
 
 def grid_tails(PiE: Sequence[Path], lam: Path) -> tuple[Path, ...]:
-    """The positive-degree nu with lam.nu in the grid set."""
-    out = []
-    for rho in PiE:
-        if rho != lam and rho.range == lam.range and lam.degree <= rho.degree:
-            pre, tail = _split(rho, lam.degree)
-            if pre == lam:
-                out.append(tail)
-    return tuple(sorted(out, key=path_sort_key))
+    """The positive-degree nu with lam.nu in the grid set, for lam in it."""
+    return _pair_tails(PiE, lam, lam)
 
 
-def _require_pair(PiE: Sequence[Path], lam: Path, mu: Path) -> None:
-    pis = set(PiE)
-    if (
-        lam not in pis
-        or mu not in pis
-        or lam.degree != mu.degree
-        or lam.source != mu.source
-    ):
+def _pair_tails(PiE: Sequence[Path], lam: Path, mu: Path) -> tuple[Path, ...]:
+    """The grid tails of lam, for a pair (lam, mu) of the grid's pairs_ds."""
+    index = PathIndex()
+    grid = index.mask(PiE)
+    i, j = index.bit(lam), index.bit(mu)
+    if not grid & 1 << i or not grid & index.matched[(lam.degree, lam.source)] & 1 << j:
         raise PairNotInGrid(f"({lam.token()}, {mu.token()})")
+    return index.tail_paths(i, index.tails(i, grid))
 
 
-def theta(
-    T: CKFamily, PiE: Sequence[Path], lam: Path, mu: Path
-) -> SparseMatrix | PartialInjection:
+def _row_unit(T: CKFamily, lam: Path, tails: Iterable[Path]) -> SparseMatrix | PartialInjection:
+    """t_lam (gap product over lam's grid tails); times t_mu* it is theta."""
+    return T.op(lam) @ gap_product(T, tails, lam.source)
+
+
+def theta(T: CKFamily, PiE: Sequence[Path], lam: Path, mu: Path) -> SparseMatrix | PartialInjection:
     """The matrix unit t_lam (prod of gaps over grid tails) t_mu*."""
-    _require_pair(PiE, lam, mu)
-    mid = gap_product(T, grid_tails(PiE, lam), lam.source)
-    return T.op(lam) @ mid @ T.op(mu).adjoint()
+    return _row_unit(T, lam, _pair_tails(PiE, lam, mu)) @ T.op(mu).adjoint()
 
 
 def formal_theta(PiE: Sequence[Path], lam: Path, mu: Path) -> FormalElement:
     """The same matrix unit expanded symbolically in the formal algebra."""
-    _require_pair(PiE, lam, mu)
-    g = lam.graph
-    sv = g.vertex_path(lam.source)
+    sv = lam.graph.vertex_path(lam.source)
     word = FormalElement.generator(sv, sv)
-    for nu in grid_tails(PiE, lam):
+    for nu in _pair_tails(PiE, lam, mu):
         gap = FormalElement.generator(sv, sv) - FormalElement.generator(nu, nu)
         word = formal_mul(word, gap)
     left = FormalElement.generator(lam, sv)
@@ -377,36 +365,53 @@ def matrix_unit_check(T: CKFamily, PiE: Sequence[Path]) -> MatrixUnitReport:
     The grid elements must satisfy theta* = theta with swapped indices,
     multiply like matrix units, and sum back to t_lam t_mu* along tails.
     """
-    grid = pairs_ds(PiE)
+    index = PathIndex()
+    grid = index.mask(PiE)
+    paths = index.paths
     zero = PartialInjection.zero(T.dim)
-    thetas = {(lam, mu): theta(T, PiE, lam, mu) for lam, mu in grid}
+    tails, thetas = {}, {}
+    for i, mus in index.pairs(grid):
+        lam = paths[i]
+        tails[lam] = index.tail_paths(i, index.tails(i, grid))
+        row = _row_unit(T, lam, tails[lam])
+        for j in mus:
+            thetas[(lam, paths[j])] = row @ T.op(paths[j]).adjoint()
 
     adjoint_dev = 0.0
     for (lam, mu), mat in thetas.items():
-        adjoint_dev = max(adjoint_dev, _dev(mat.adjoint() - thetas[(mu, lam)]))
+        adjoint_dev = max(adjoint_dev, (mat.adjoint() - thetas[(mu, lam)]).max_abs())
 
     product_dev = 0.0
     for (lam, mu), m1 in thetas.items():
         for (sig, tau), m2 in thetas.items():
             expected = thetas[(lam, tau)] if mu == sig else zero
-            product_dev = max(product_dev, _dev(m1 @ m2 - expected))
+            product_dev = max(product_dev, (m1 @ m2 - expected).max_abs())
 
     span_dev = 0.0
-    for lam, mu in grid:
+    for lam, mu in thetas:
         rhs = zero
         # nu ranges over all tails with lam.nu in the grid set, the vertex
         # path included (lam itself is a grid element)
-        tails = (lam.graph.vertex_path(lam.source),) + grid_tails(PiE, lam)
-        for nu in tails:
+        for nu in (lam.graph.vertex_path(lam.source),) + tails[lam]:
             rhs = rhs + thetas[(compose(lam, nu), compose(mu, nu))]
-        span_dev = max(span_dev, _dev(T.op(lam) @ T.op(mu).adjoint() - rhs))
+        span_dev = max(span_dev, (T.op(lam) @ T.op(mu).adjoint() - rhs).max_abs())
 
-    return MatrixUnitReport(adjoint_dev, product_dev, span_dev, len(grid))
+    return MatrixUnitReport(adjoint_dev, product_dev, span_dev, len(thetas))
 
 
-def nonzero_theta_pattern(
-    S: FamilyCollection, PiE: Sequence[Path]
-) -> frozenset[tuple[Path, Path]]:
+def _nonzero_tails(
+    S: FamilyCollection, index: PathIndex, i: int, tails: int
+) -> tuple[Path, ...] | None:
+    """The tails nu of lam.nu in the mask, lam path i, when their family is
+    not in S, so that row lam's matrix units are universally nonzero; else None."""
+    lam = index.paths[i]
+    nus = index.tail_paths(i, tails)
+    if member(PathFamily(lam.graph, lam.source, nus), S) is Membership.YES:
+        return None
+    return nus
+
+
+def nonzero_theta_pattern(S: FamilyCollection, PiE: Sequence[Path]) -> frozenset[tuple[Path, Path]]:
     """Grid pairs whose universal matrix unit is nonzero.
 
     A grid element vanishes universally exactly when the tail family of its
@@ -415,13 +420,13 @@ def nonzero_theta_pattern(
     """
     if not S.exact:
         raise InexactUniverse("the vanishing pattern needs an exact universe")
-    nonzero = {
-        lam
-        for lam in PiE
-        if member(PathFamily(lam.graph, lam.source, grid_tails(PiE, lam)), S)
-        is not Membership.YES
-    }
-    return frozenset((lam, mu) for lam, mu in pairs_ds(PiE) if lam in nonzero)
+    index = PathIndex()
+    grid = index.mask(PiE)
+    out = []
+    for i, mus in index.pairs(grid):
+        if _nonzero_tails(S, index, i, index.tails(i, grid)) is not None:
+            out += ((index.paths[i], index.paths[j]) for j in mus)
+    return frozenset(out)
 
 
 # -- gap products against membership ----------------------------------------------------
@@ -524,12 +529,11 @@ def faithful_on_core_check(T: CKFamily, S: FamilyCollection) -> FaithfulnessVerd
     reported with the size of the first grid it appears in.  Grids are
     bitmasks over one :class:`PathIndex`, whose closures share their memos;
     each grid extends the grid of its window minus the last member, and each
-    extension of a grid by a path is computed once.  The tails of lam in a
-    grid G are G masked by the numbered proper extensions of lam; the tail
-    family's membership in S, and t_lam times its gap product, are computed
-    once per lam and tails mask.  Route (b): every vertex operator is
-    nonzero and every gap product over a universe family outside S is
-    nonzero (see :func:`gap_vanishing`).
+    extension of a grid by a path is computed once.  The tail family's
+    membership in S, and t_lam times its gap product, are computed once per
+    lam and :meth:`~kgraphck.alignment.PathIndex.tails` mask.  Route (b):
+    every vertex operator is nonzero and every gap product over a universe
+    family outside S is nonzero (see :func:`gap_vanishing`).
     """
     g = T.graph
     index = PathIndex()
@@ -547,62 +551,28 @@ def faithful_on_core_check(T: CKFamily, S: FamilyCollection) -> FaithfulnessVerd
                 closures[key] = index.close(grid, (p,))
             grid = closures[key]
         grids.setdefault(grid)
-    # the numbered proper extensions of each row index, and the tail family
-    # of each (row index, tails mask) when it is universally nonzero
+    # t_lam times the gap product over the tails, for each (row index, tails
+    # mask) whose tail family is not in S (None for the others), and each
+    # universally nonzero matrix unit with the size of its first grid
     paths = index.paths
-    extensions: dict[int, int] = {}
-    rows: dict[tuple[int, int], tuple[Path, ...] | None] = {}
+    rows: dict[tuple[int, int], SparseMatrix | PartialInjection | None] = {}
     first_grid: dict[tuple[int, int, int], int] = {}  # (lam, mu, tails) -> grid size
     for grid in grids:
-        # pairs_ds order: lam, then mu among the paths matching lam
-        order = sorted(_bits(grid), key=lambda i: paths[i].sort_key())
-        mates: dict[tuple[Degree, str], list[int]] = {}
-        for i in order:
-            mates.setdefault((paths[i].degree, paths[i].source), []).append(i)
-        for lam in order:
-            if lam not in extensions:
-                extensions[lam] = _extensions(index, lam)
-            tails = grid & extensions[lam]
+        for lam, mus in index.pairs(grid):
+            tails = index.tails(lam, grid)
             if (lam, tails) not in rows:
-                rows[(lam, tails)] = _nonzero_tails(S, index, lam, tails)
+                nus = _nonzero_tails(S, index, lam, tails)
+                rows[(lam, tails)] = None if nus is None else _row_unit(T, paths[lam], nus)
             if rows[(lam, tails)] is not None:
-                for mu in mates[(paths[lam].degree, paths[lam].source)]:
+                for mu in mus:
                     first_grid.setdefault((lam, mu, tails), grid.bit_count())
-    # theta(T, PiE, lam, mu) = (t_lam gap) t_mu*
-    lefts: dict[tuple[int, int], SparseMatrix | PartialInjection] = {}
     a_viol = []
     for (i, j, tails), size in first_grid.items():
         lam, mu = paths[i], paths[j]
-        if (i, tails) not in lefts:
-            lefts[(i, tails)] = T.op(lam) @ gap_product(T, rows[(i, tails)], lam.source)
-        if (lefts[(i, tails)] @ T.op(mu).adjoint()).is_zero():
+        if (rows[(i, tails)] @ T.op(mu).adjoint()).is_zero():
             a_viol.append(f"theta({lam.token()},{mu.token()}) vanished in grid of size {size}")
     b_viol = _route_b(T, T.gap_vanishing(S))
     return FaithfulnessVerdict(not a_viol, not b_viol, a_viol, b_viol)
-
-
-def _extensions(index: PathIndex, i: int) -> int:
-    """The mask of the numbered paths lam.nu with d(nu) > 0, for lam path i."""
-    lam = index.paths[i]
-    out = 0
-    for j, rho in enumerate(index.paths):
-        if j != i and rho.range == lam.range and lam.degree <= rho.degree:
-            if _split(rho, lam.degree)[0] == lam:
-                out |= 1 << j
-    return out
-
-
-def _nonzero_tails(
-    S: FamilyCollection, index: PathIndex, i: int, tails: int
-) -> tuple[Path, ...] | None:
-    """The tails nu of lam.nu in the mask, lam path i, when their family is
-    not in S (the matrix units of row lam are universally nonzero); None
-    when it is."""
-    lam = index.paths[i]
-    nus = sorted((_split(index.paths[j], lam.degree)[1] for j in _bits(tails)), key=path_sort_key)
-    if member(PathFamily(lam.graph, lam.source, nus), S) is Membership.YES:
-        return None
-    return tuple(nus)
 
 
 def shift_gaps_check(T: CKFamily, members: Iterable[Path], mu: Path):
@@ -617,7 +587,7 @@ def shift_gaps_check(T: CKFamily, members: Iterable[Path], mu: Path):
     tails = ext(mu, [p for p in members if p.range == v])
     lhs = gap_product(T, members, v) @ T.range_projection(mu)
     rhs = T.op(mu) @ gap_product(T, tails, mu.source) @ T.op(mu).adjoint()
-    return _dev(lhs - rhs)
+    return (lhs - rhs).max_abs()
 
 
 # -- uniqueness-theorem hypotheses ----------------------------------------------------

@@ -22,6 +22,7 @@ from kgraphck.errors import (
     ClosureBudgetExceeded,
     FixpointBudgetExceeded,
     InexactUniverse,
+    PairNotInGrid,
     UniverseTooLarge,
 )
 from kgraphck.kgraph import (
@@ -34,7 +35,7 @@ from kgraphck.kgraph import (
     validate,
     vertex_at,
 )
-from kgraphck.alignment import PathFamily, ext, has_prefix_in, pairs_ds, pi_closure
+from kgraphck.alignment import PathFamily, ext, has_prefix_in, pi_closure
 from kgraphck.boundary import ConditionCReport, boundary_paths, condition_c, is_aperiodic_path
 from kgraphck.exhaustive import Status, _source_free_from, _subset_count, fe_enumerate
 from kgraphck.matrices import SparseMatrix
@@ -42,16 +43,17 @@ from kgraphck.repn import (
     CKFamily,
     FaithfulnessVerdict,
     GapVanishing,
+    MatrixUnitReport,
     _z_power,
     gap_product,
     gauge_unitary,
-    nonzero_theta_pattern,
-    theta,
     verify_family,
 )
 from kgraphck.satiation import (
     FamilyCollection,
+    Membership,
     is_satiated,
+    member,
     sigma1,
     sigma2,
     sigma3,
@@ -160,7 +162,7 @@ def naive_pi_closure(members, budget=100_000):
     while work:
         work = False
         snapshot = sorted(closed, key=path_sort_key)
-        for lam, mu in pairs_ds(snapshot):
+        for lam, mu in scan_pairs_ds(snapshot):
             for sigma in snapshot:
                 for alpha in ext(mu, [s for s in (sigma,) if s.range == mu.range]):
                     steps += 1
@@ -487,6 +489,80 @@ class AxiomClosure:
         return self.members_of(acc)
 
 
+# -- matrix-unit grids by scanning ----------------------------------------------------
+#
+# The grid queries of alignment.PathIndex recomputed from the path sets: each
+# call scans the grid for the pair or the tails it needs.
+
+
+def scan_pairs_ds(paths):
+    """All ordered pairs from the set with equal degree and equal source."""
+    items = sorted(set(paths), key=path_sort_key)
+    return tuple(
+        (lam, mu)
+        for lam in items
+        for mu in items
+        if lam.degree == mu.degree and lam.source == mu.source
+    )
+
+
+def scan_grid_tails(PiE, lam):
+    """The positive-degree nu with lam.nu in the grid set."""
+    zero = Degree.zero(lam.graph.rank)
+    out = []
+    for rho in PiE:
+        if rho != lam and rho.range == lam.range and lam.degree <= rho.degree:
+            if segment(rho, zero, lam.degree) == lam:
+                out.append(segment(rho, lam.degree, rho.degree))
+    return tuple(sorted(out, key=path_sort_key))
+
+
+def scan_theta(T: CKFamily, PiE, lam, mu):
+    """The matrix unit t_lam (prod of gaps over grid tails) t_mu*."""
+    pis = set(PiE)
+    if lam not in pis or mu not in pis or lam.degree != mu.degree or lam.source != mu.source:
+        raise PairNotInGrid(f"({lam.token()}, {mu.token()})")
+    mid = gap_product(T, scan_grid_tails(PiE, lam), lam.source)
+    return T.op(lam) @ mid @ T.op(mu).adjoint()
+
+
+def scan_nonzero_theta_pattern(S: FamilyCollection, PiE):
+    """Grid pairs whose row index's tail family is not in S."""
+    if not S.exact:
+        raise InexactUniverse("the vanishing pattern needs an exact universe")
+    nonzero = {
+        lam
+        for lam in PiE
+        if member(PathFamily(lam.graph, lam.source, scan_grid_tails(PiE, lam)), S)
+        is not Membership.YES
+    }
+    return frozenset((lam, mu) for lam, mu in scan_pairs_ds(PiE) if lam in nonzero)
+
+
+def scan_matrix_unit_check(T: CKFamily, PiE) -> MatrixUnitReport:
+    """matrix_unit_check with every matrix unit from ``scan_theta``."""
+    grid = scan_pairs_ds(PiE)
+    zero = SparseMatrix.zero(T.dim)
+    thetas = {(lam, mu): scan_theta(T, PiE, lam, mu) for lam, mu in grid}
+    adjoint_dev = max(
+        ((mat.adjoint() - thetas[(mu, lam)]).max_abs() for (lam, mu), mat in thetas.items()),
+        default=0.0,
+    )
+    product_dev = max(
+        ((m1 @ m2 - (thetas[(lam, tau)] if mu == sig else zero)).max_abs()
+        for (lam, mu), m1 in thetas.items()
+        for (sig, tau), m2 in thetas.items()),
+        default=0.0,
+    )
+    span_dev = 0.0
+    for lam, mu in grid:
+        rhs = zero
+        for nu in (lam.graph.vertex_path(lam.source),) + scan_grid_tails(PiE, lam):
+            rhs = rhs + thetas[(compose(lam, nu), compose(mu, nu))]
+        span_dev = max(span_dev, (T.op(lam) @ T.op(mu).adjoint() - rhs).max_abs())
+    return MatrixUnitReport(adjoint_dev, product_dev, span_dev, len(grid))
+
+
 # -- faithfulness and the uniqueness hypotheses ----------------------------------------
 
 
@@ -513,8 +589,9 @@ def per_window_faithful_on_core_check(
     a_viol: list[str] = []
     for window in windows:
         PiE = pi_closure(window)
-        for lam, mu in sorted(nonzero_theta_pattern(S, PiE), key=lambda p: (p[0].sort_key(), p[1].sort_key())):
-            if theta(T, PiE, lam, mu).is_zero():
+        pattern = scan_nonzero_theta_pattern(S, PiE)
+        for lam, mu in sorted(pattern, key=lambda p: (p[0].sort_key(), p[1].sort_key())):
+            if scan_theta(T, PiE, lam, mu).is_zero():
                 a_viol.append(
                     f"theta({lam.token()},{mu.token()}) vanished in grid of size {len(PiE)}"
                 )

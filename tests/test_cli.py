@@ -503,3 +503,97 @@ def test_unreadable_or_malformed_input_file_exits_2(files, tmp_path, capsys, arg
     assert main([a.format(**names) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# every command that reads no budget, and every command that needs the exact
+# universe, rejects the options it used to accept and ignore
+REMOVED_OPTIONS = [
+    *[(cmd, "--budget", "5") for cmd in (
+        ("validate", "{omega11}"),
+        ("paths", "{omega11}", "0,0", "--depth", "1,1"),
+        ("mce", "{omega11}", "c1:0,0", "c2:0,0"),
+        ("ext", "{omega11}", "c2:0,0", "c1:0,0"),
+        ("exhaustive", "check", "{omega11}", "c1:0,0"),
+        ("boundary", "aperiodic", "{omega13}", "c1:0"),
+    )],
+    *[(cmd, flag, value) for cmd in (
+        ("represent", "{omega11}"),
+        ("verify", "{omega11}"),
+        ("boundary", "list", "{omega11}"),
+        ("boundary", "construct", "{omega11}", "0,0"),
+        ("boundary", "condition-c", "{omega11}"),
+    ) for flag, value in (("--depth", "1,1"), ("--max-size", "2"))],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    REMOVED_OPTIONS,
+    ids=[" ".join(a for a in argv if "{" not in a) + " " + flag for argv, flag, _ in REMOVED_OPTIONS],
+)
+def test_removed_options_exit_2(files, capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**files) for a in argv] + [flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("satiate", "{omega11}", "--max-size", "-1"), "--max-size must be at least 0, got -1"),
+        (("exhaustive", "enumerate", "{omega11}", "0,0", "--depth", "1,1", "--max-size", "-1"),
+         "--max-size must be at least 0, got -1"),
+        (("pi-closure", "{omega11}", "c1:0,0", "--budget", "-1"), "--budget must be at least 0, got -1"),
+    ],
+    ids=["satiate-max-size", "enumerate-max-size", "pi-closure-budget"],
+)
+def test_negative_count_exits_2(files, capsys, argv, message):
+    # a negative size cap would give empty results, a negative budget a
+    # budget exit; both are usage errors, as --windows -1 is
+    assert main([a.format(**files) for a in argv] + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_generators_not_a_list_exits_2(files, tmp_path, capsys):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"families": 5}))
+    assert main(["satiate", files["omega11"], "--generators", str(gens)]) == 2
+    assert capsys.readouterr().err == "error: expected {'families': [...]}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(rank=True), "rank must be an integer >= 1"),
+        (lambda doc: doc["edges"][0].__setitem__(1, True), "edge 'b' has non-integer color True"),
+    ],
+    ids=["rank-true", "color-true"],
+)
+def test_boolean_rank_or_color_exits_2(tmp_path, capsys, edit, message):
+    # JSON true is a Python int: without the exact type test a color of true
+    # is read as color 1 and the graph validates
+    doc = {
+        "rank": 2,
+        "vertices": ["v"],
+        "edges": [["b", 1, "v", "v"], ["r", 2, "v", "v"]],
+        "squares": [["b", "r", "r", "b"]],
+    }
+    edit(doc)
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(doc))
+    assert main(["validate", str(graph)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["satiate", "verify"])
+def test_universe_listing_budget_exits_3(files, capsys, command):
+    # omega(2,(2,1)) has 5 candidate paths at 0,0, so listing its family
+    # universe exceeds a subset budget of 3
+    argv = [command, files["omega21"], "--generators", files["gens"], "--budget", "3"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: 5 candidate paths exceed the subset budget 3\n"

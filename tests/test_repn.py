@@ -36,7 +36,6 @@ from kgraphck.repn import (
     gap_product,
     gauge_grid,
     gauge_unitary_check,
-    grid_tails,
     matrix_unit_check,
     nonzero_theta_pattern,
     sampled_gauge_average,
@@ -510,13 +509,15 @@ def _oracle_verdict(monkeypatch, T, S):
     repeated matrix unit (lam, mu, tails of lam in the grid) dropped."""
     vanished = []
 
+    scan_theta = oracles.scan_theta
+
     def recording_theta(T, PiE, lam, mu):
-        mat = theta(T, PiE, lam, mu)
+        mat = scan_theta(T, PiE, lam, mu)
         if mat.is_zero():
-            vanished.append((lam, mu, grid_tails(PiE, lam)))
+            vanished.append((lam, mu, oracles.scan_grid_tails(PiE, lam)))
         return mat
 
-    monkeypatch.setattr(oracles, "theta", recording_theta)
+    monkeypatch.setattr(oracles, "scan_theta", recording_theta)
     verdict = oracles.per_window_faithful_on_core_check(T, S)
     monkeypatch.undo()
     assert len(vanished) == len(verdict.route_a_violations)
