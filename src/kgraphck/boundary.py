@@ -16,7 +16,6 @@ from .degree import Degree
 from .errors import (
     CyclicGraphUnsupported,
     DomainError,
-    InexactUniverse,
     InvariantViolated,
     NoSeparation,
     PreconditionFailed,
@@ -106,16 +105,9 @@ class BoundaryPath:
     families: FamilyCollection
 
 
-def _require_exact(S: FamilyCollection) -> None:
-    if not S.exact:
-        raise InexactUniverse(
-            "boundary membership needs an exact universe (acyclic, full window)"
-        )
-
-
 def is_boundary(x: Path, S: FamilyCollection) -> bool:
     """Whether x meets a member of every family of S it passes."""
-    _require_exact(S)
+    S.require_exact("boundary membership")
     return is_boundary_windowed(x, S) is Membership.YES
 
 
@@ -148,9 +140,10 @@ def boundary_path(x: Path, S: FamilyCollection) -> BoundaryPath:
 def boundary_paths(v: str, S: FamilyCollection) -> tuple[BoundaryPath, ...]:
     """All boundary paths with range v, canonically ordered; never empty."""
     g = S.graph
+    g.vertex_path(v)  # raises on an unknown vertex, whose path list would be empty
     if not g.is_acyclic:
         raise CyclicGraphUnsupported("boundary enumeration needs a finite path category")
-    _require_exact(S)
+    S.require_exact("boundary membership")
     out = tuple(
         BoundaryPath(x, S) for x in g.paths_at(v) if is_boundary(x, S)
     )
@@ -194,16 +187,19 @@ def construct_boundary(
     outside S, which forces the result to have no initial segment in avoid.
     """
     g = S.graph
+    lam = g.vertex_path(v)  # raises on an unknown vertex
     if not g.is_acyclic:
         raise CyclicGraphUnsupported("constructive boundary needs a finite path category")
-    _require_exact(S)
+    S.require_exact("boundary membership")
     if avoid is not None:
         if avoid.vertex != v:
             raise PreconditionFailed("avoid family must be based at the start vertex")
+        if not avoid.is_vertex_free():
+            # every path has the vertex path as an initial segment
+            raise PreconditionFailed("avoid family contains a vertex path")
         if member(avoid, S) is Membership.YES:
             raise PreconditionFailed("avoid family belongs to the collection")
 
-    lam = g.vertex_path(v)
     checkpoints: list[Path] = [lam]
     listings: list[tuple[PathFamily, ...]] = [S.at(lam.source)]
     avoid_ext = avoid  # Ext(lam; avoid), maintained incrementally
@@ -355,9 +351,7 @@ def condition_c(S: FamilyCollection) -> ConditionCReport:
         prefixes = [
             (x, frozenset(segment(x, zero, n) for n in x.degree.below())) for x in aperiodic
         ]
-        for F in S.universe(v):
-            if F in S.members:
-                continue
+        for F in S.outside(v):
             witness = next((x for x, pre in prefixes if F.members.isdisjoint(pre)), None)
             if witness is not None:
                 avoidance_witnesses[(v, F)] = witness

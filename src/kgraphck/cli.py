@@ -8,6 +8,7 @@ Reports are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import random
 import sys
@@ -364,6 +365,9 @@ def cmd_represent(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the gauge stage imports numpy; without it, stop before any stage runs
+    if importlib.util.find_spec("numpy") is None:
+        raise PreconditionFailed("verify needs numpy")
     graph = _load_graph(args.graph)
     S = satiate(_load_collection(graph, args))
 

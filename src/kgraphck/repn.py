@@ -38,7 +38,6 @@ from .degree import Degree
 from .errors import (
     HypothesisNotMet,
     IncompleteFamily,
-    InexactUniverse,
     InvariantViolated,
     PairNotInGrid,
     PreconditionFailed,
@@ -418,8 +417,7 @@ def nonzero_theta_pattern(S: FamilyCollection, PiE: Sequence[Path]) -> frozenset
     row index belongs to the collection; empty or non-exhaustive tail
     families never do.  Needs an exact universe for definite membership.
     """
-    if not S.exact:
-        raise InexactUniverse("the vanishing pattern needs an exact universe")
+    S.require_exact("the vanishing pattern")
     index = PathIndex()
     grid = index.mask(PiE)
     out = []
@@ -448,19 +446,6 @@ def _vanishes(T: CKFamily, F: PathFamily) -> bool:
     return gap_product(T, F.members, F.vertex).is_zero()
 
 
-def _maximal_outside(S: FamilyCollection):
-    """Universe families F outside S with F u {p} in S for every candidate p
-    not in F (on an exact universe every such union is a universe family)."""
-    for v in S.graph.vertices:
-        inside = {E.members for E in S.at(v)}
-        candidates = [p for p in S.window_paths(v) if not p.is_vertex()]
-        for F in S.universe(v):
-            if F.members not in inside and all(
-                F.members | {p} in inside for p in candidates if p not in F.members
-            ):
-                yield F
-
-
 def gap_vanishing(T: CKFamily, S: FamilyCollection) -> GapVanishing:
     """Whether the gap product of every member of S vanishes, and the
     universe families outside S whose gap product vanishes.
@@ -473,22 +458,15 @@ def gap_vanishing(T: CKFamily, S: FamilyCollection) -> GapVanishing:
     lies below one).  Otherwise, or when a maximal family outside S does
     vanish, every universe family is checked.
     """
-    universe = S.universe_all()  # listed first on both paths: an oversized universe fails here
+    vertices = S.graph.vertices
+    outside = [F for v in vertices for F in S.outside(v)]  # an oversized universe fails here
     if S.exact and T.is_rational() and all(r.ok for r in T.relation_checks()):
-        if not any(_vanishes(T, F) for F in _maximal_outside(S)):
-            members_vanish = all(
-                _vanishes(T, E) for v in S.graph.vertices for E in S.minimal_at(v)
-            )
+        if not any(_vanishes(T, F) for v in vertices for F in S.maximal_outside(v)):
+            members_vanish = all(_vanishes(T, E) for v in vertices for E in S.minimal_at(v))
             return GapVanishing(members_vanish, ())
-    members_vanish = True
-    outside = []
-    for F in universe:
-        vanishes = _vanishes(T, F)
-        if F in S.members:
-            members_vanish = members_vanish and vanishes
-        elif vanishes:
-            outside.append(F)
-    return GapVanishing(members_vanish, tuple(outside))
+    return GapVanishing(
+        all(_vanishes(T, E) for E in S), tuple(F for F in outside if _vanishes(T, F))
+    )
 
 
 # -- faithfulness --------------------------------------------------------------------
@@ -539,11 +517,10 @@ def faithful_on_core_check(T: CKFamily, S: FamilyCollection) -> FaithfulnessVerd
     index = PathIndex()
     closures: dict[tuple[int, int], int] = {}  # (grid, path) -> closure of both
     grids: dict[int, None] = {}  # distinct grids, in order of first use
-    for F in S.universe_all():
-        if F in S.members:
-            continue
-        if not S.exact:
-            raise InexactUniverse("the vanishing pattern needs an exact universe")
+    outside = [F for v in g.vertices for F in S.outside(v)]
+    if outside:
+        S.require_exact("the vanishing pattern")
+    for F in outside:
         grid = 0
         for p in (g.vertex_path(F.vertex),) + F.sorted_members():
             key = (grid, index.bit(p))

@@ -6,17 +6,21 @@ collection is computed as the least fixed point of the composite map
 sigma4 . sigma3 . sigma2 . sigma1 over a finite universe of candidate
 families; results are exact when the universe is the full finite-exhaustive
 universe of an acyclic graph, and windowed (three-valued membership)
-otherwise.
+otherwise.  A collection derives, once each, the views later checks read:
+its (minimal) members at a vertex and the (maximal) families outside it.
 
-The fixpoint is evaluated semi-naively: sigma1-sigma3 map each family on
-its own, so each round applies them only to the families that are new since
-the previous round, while sigma4, whose pools come from the whole
-collection, makes a full pass.  Truncations are built once per member
-prefix and yielded once per distinct family.
+One generator per axiom yields a family's images: the closure maps add them
+and ``is_satiated`` reports the missing ones.  The fixpoint is evaluated
+semi-naively: sigma1-sigma3 map each family on its own, so each round
+applies them only to the families that are new since the previous round,
+while sigma4, whose pools come from the whole collection, makes a full
+pass.  Truncations are built once per member prefix and yielded once per
+distinct family.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,6 +32,7 @@ from .errors import (
     BudgetExceeded,
     ClosureInvariantViolated,
     FixpointBudgetExceeded,
+    InexactUniverse,
     UniverseTooLarge,
 )
 from .kgraph import KGraph, Path, compose, segment
@@ -72,8 +77,7 @@ class FamilyCollection:
         self.members = frozenset(members)
         self._universe: dict[str, tuple[PathFamily, ...]] = {}
         self._universe_sets: dict[str, frozenset] = {}
-        self._sorted: tuple[PathFamily, ...] | None = None
-        self._at: dict[str, tuple[PathFamily, ...]] | None = None
+        self._views: dict = {}  # derived from the members, built on first use
         for fam in self.members:
             self._validate_member(fam)
 
@@ -140,43 +144,72 @@ class FamilyCollection:
     def __hash__(self) -> int:
         return hash(self.members)
 
+    # -- derived views, each built once per collection --
+
+    def _view(self, key, build):
+        if key not in self._views:
+            self._views[key] = build()
+        return self._views[key]
+
     def sorted_members(self) -> tuple[PathFamily, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.members, key=lambda f: f.sort_key()))
-        return self._sorted
+        return self._view("sorted", lambda: tuple(sorted(self.members, key=lambda f: f.sort_key())))
 
     def at(self, v: str) -> tuple[PathFamily, ...]:
-        if self._at is None:
-            groups: dict[str, list[PathFamily]] = {}
-            for f in self.sorted_members():
-                groups.setdefault(f.vertex, []).append(f)
-            self._at = {u: tuple(fs) for u, fs in groups.items()}
-        return self._at.get(v, ())
+        """The members at v, in family order."""
+        return self._view("at", self._by_vertex).get(v, ())
+
+    def _by_vertex(self) -> dict[str, tuple[PathFamily, ...]]:
+        # family order sorts by vertex first
+        groups = itertools.groupby(self.sorted_members(), key=lambda f: f.vertex)
+        return {u: tuple(fs) for u, fs in groups}
 
     def minimal_at(self, v: str) -> tuple[PathFamily, ...]:
-        fams = self.at(v)
-        return tuple(
-            f for f in fams if not any(g.members < f.members for g in fams)
+        """The inclusion-minimal members at v, in family order."""
+        return self._view(("minimal", v), lambda: _minimal(self.at(v)))
+
+    def outside(self, v: str) -> tuple[PathFamily, ...]:
+        """The universe families at v that are not members, in universe order."""
+        return self._view(
+            ("outside", v), lambda: tuple(F for F in self.universe(v) if F not in self.members)
         )
 
+    def maximal_outside(self, v: str) -> tuple[PathFamily, ...]:
+        """The F in ``outside(v)`` with F u {p} a member for every non-vertex
+        window path p not in F: on an exact universe, for a collection closed
+        under supersets (S1), the maximal families outside it."""
+
+        def build():
+            inside = {E.members for E in self.at(v)}
+            candidates = [p for p in self.window_paths(v) if not p.is_vertex()]
+            return tuple(
+                F
+                for F in self.outside(v)
+                if all(F.members | {p} in inside for p in candidates if p not in F.members)
+            )
+
+        return self._view(("maximal_outside", v), build)
+
+    def require_exact(self, what: str) -> None:
+        """Raise ``InexactUniverse`` unless the universe is exact."""
+        if not self.exact:
+            raise InexactUniverse(f"{what} needs an exact universe (acyclic, full window)")
+
     def with_members(self, members: Iterable[PathFamily]) -> "FamilyCollection":
-        out = FamilyCollection.__new__(FamilyCollection)
-        out.graph = self.graph
-        out.depth = self.depth
-        out.max_family_size = self.max_family_size
-        out.budget = self.budget
-        out.exact = self.exact
-        out._universe = self._universe  # share the cached universe
-        out._universe_sets = self._universe_sets
-        out._sorted = None
-        out._at = None
-        out.members = frozenset(members)
-        for fam in out.members:
-            out._validate_member(fam)
+        """These members over the same universe; only new families are validated."""
+        members = frozenset(members)
+        for fam in members - self.members:
+            self._validate_member(fam)
+        out = copy.copy(self)
+        out.members = members
+        out._views = {}
         return out
 
     def window_paths(self, v: str) -> tuple[Path, ...]:
         return self.graph.paths_up_to(v, self.depth)
+
+
+def _minimal(fams: tuple[PathFamily, ...]) -> tuple[PathFamily, ...]:
+    return tuple(f for f in fams if not any(g.members < f.members for g in fams))
 
 
 def full_fe_collection(graph: KGraph, budget: int = 200_000) -> FamilyCollection:
@@ -235,13 +268,6 @@ def _check_family(collection: FamilyCollection, fam: PathFamily) -> PathFamily |
             f"closure map produced {fam!r} outside the exact universe"
         )
     return None
-
-
-def _window_mus(collection: FamilyCollection, fam: PathFamily):
-    """Candidate mu in r(E).Lambda \\ E.Lambda within the window."""
-    for mu in collection.window_paths(fam.vertex):
-        if not has_prefix_in(mu, fam.members):
-            yield mu
 
 
 def _require_truncation_budget(fam: PathFamily, budget: int) -> None:
@@ -309,9 +335,49 @@ def _graftings(collection: FamilyCollection, fam: PathFamily, budget: int | None
                 yield PathFamily(fam.graph, fam.vertex, grafted)
 
 
-def _add(out: set, fam: PathFamily | None) -> None:
-    if fam is not None:
-        out.add(fam)
+# -- axiom images: (witness, image) pairs; the witness is S2's mu, else None --
+
+
+def _superset_images(collection: FamilyCollection, fam: PathFamily):
+    """S1: the universe families containing fam."""
+    return ((None, F) for F in collection.universe(fam.vertex) if fam.members <= F.members)
+
+
+def _extension_images(collection: FamilyCollection, fam: PathFamily):
+    """S2: Ext(mu; fam) for each mu in r(fam).Lambda \\ fam.Lambda in the window."""
+    mus = collection.window_paths(fam.vertex)
+    return ((mu, ext_family(mu, fam)) for mu in mus if not has_prefix_in(mu, fam.members))
+
+
+def _truncation_images(collection: FamilyCollection, fam: PathFamily):
+    """S3: the truncations of fam, within the collection's budget."""
+    return ((None, F) for F in _truncations(fam, budget=collection.budget))
+
+
+def _grafting_images(collection: FamilyCollection, fam: PathFamily):
+    """S4: the graftings of members onto fam, within the collection's budget."""
+    return ((None, F) for F in _graftings(collection, fam, budget=collection.budget))
+
+
+# each axiom's images, and the violation text for an image the collection lacks
+_AXIOMS = (
+    ("S1", _superset_images, lambda E, _, F: f"{E!r} subset of {F!r} not in collection"),
+    ("S2", _extension_images,
+     lambda E, mu, F: f"Ext({mu.token()}; {E!r}) = {F!r} not in collection"),
+    ("S3", _truncation_images, lambda E, _, F: f"truncation {F!r} of {E!r} missing"),
+    ("S4", _grafting_images, lambda E, _, F: f"grafting {F!r} of {E!r} missing"),
+)
+
+
+def _with_images(collection: FamilyCollection, fams: Iterable[PathFamily], images):
+    """The collection plus the checked images of fams, mapped in the order given."""
+    out = set(collection.members)
+    for fam in fams:
+        for _, image in images(collection, fam):
+            checked = _check_family(collection, image)
+            if checked is not None:
+                out.add(checked)
+    return collection.with_members(out)
 
 
 def sigma1(
@@ -322,12 +388,7 @@ def sigma1(
     ``only`` restricts the members mapped; the result still keeps every
     member of the collection.
     """
-    out = set(collection.members)
-    for fam in collection.members if only is None else only:
-        for cand in collection.universe(fam.vertex):
-            if fam.members <= cand.members:
-                _add(out, _check_family(collection, cand))
-    return collection.with_members(out)
+    return _with_images(collection, collection.members if only is None else only, _superset_images)
 
 
 def sigma2(
@@ -337,11 +398,7 @@ def sigma2(
 
     ``only`` restricts the members mapped, as in ``sigma1``.
     """
-    out = set(collection.members)
-    for fam in collection.members if only is None else only:
-        for mu in _window_mus(collection, fam):
-            _add(out, _check_family(collection, ext_family(mu, fam)))
-    return collection.with_members(out)
+    return _with_images(collection, collection.members if only is None else only, _extension_images)
 
 
 def sigma3(
@@ -354,23 +411,16 @@ def sigma3(
     before any truncation is built, so the family a budget error names does
     not depend on set iteration order.
     """
-    out = set(collection.members)
     fams = sorted(collection.members if only is None else only, key=lambda f: f.sort_key())
     for fam in fams:
         _require_truncation_budget(fam, collection.budget)
-    for fam in fams:
-        for target in _truncations(fam):
-            _add(out, _check_family(collection, target))
-    return collection.with_members(out)
+    return _with_images(collection, fams, _truncation_images)
 
 
 def sigma4(collection: FamilyCollection) -> FamilyCollection:
-    """Graftings of member families onto subsets of members."""
-    out = set(collection.members)
-    for fam in collection.members:
-        for grafted in _graftings(collection, fam, budget=collection.budget):
-            _add(out, _check_family(collection, grafted))
-    return collection.with_members(out)
+    """Graftings of member families onto subsets of members, mapped in
+    family order so that a budget error names the same family every run."""
+    return _with_images(collection, collection.sorted_members(), _grafting_images)
 
 
 # -- satiation ------------------------------------------------------------------
@@ -379,44 +429,16 @@ def sigma4(collection: FamilyCollection) -> FamilyCollection:
 def is_satiated(collection: FamilyCollection) -> tuple[bool, list[Violation]]:
     """Check axioms S1-S4 within the universe; report every violation.
 
+    Violations come axiom by axiom, each over the members in family order.
     On windowed universes, closure targets escaping the window are skipped,
     mirroring the under-approximation semantics of the closure maps.
     """
     violations: list[Violation] = []
-    members = collection.members
-
-    for fam in collection.sorted_members():
-        for cand in collection.universe(fam.vertex):
-            if fam.members <= cand.members and cand not in members:
-                violations.append(
-                    Violation("S1", f"{fam!r} subset of {cand!r} not in collection")
-                )
-
-    for fam in collection.sorted_members():
-        for mu in _window_mus(collection, fam):
-            target = ext_family(mu, fam)
-            if target not in members and collection.in_window(target):
-                violations.append(
-                    Violation(
-                        "S2",
-                        f"Ext({mu.token()}; {fam!r}) = {target!r} not in collection",
-                    )
-                )
-
-    for fam in collection.sorted_members():
-        for target in _truncations(fam, budget=collection.budget):
-            if target not in members and collection.in_window(target):
-                violations.append(
-                    Violation("S3", f"truncation {target!r} of {fam!r} missing")
-                )
-
-    for fam in collection.sorted_members():
-        for grafted in _graftings(collection, fam, budget=collection.budget):
-            if grafted not in members and collection.in_window(grafted):
-                violations.append(
-                    Violation("S4", f"grafting {grafted!r} of {fam!r} missing")
-                )
-
+    for axiom, images, text in _AXIOMS:
+        for fam in collection.sorted_members():
+            for witness, image in images(collection, fam):
+                if image not in collection.members and collection.in_window(image):
+                    violations.append(Violation(axiom, text(fam, witness, image)))
     return (not violations, violations)
 
 

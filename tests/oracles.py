@@ -35,7 +35,7 @@ from kgraphck.kgraph import (
     validate,
     vertex_at,
 )
-from kgraphck.alignment import PathFamily, ext, has_prefix_in, pi_closure
+from kgraphck.alignment import PathFamily, ext, ext_family, has_prefix_in, pi_closure
 from kgraphck.boundary import ConditionCReport, boundary_paths, condition_c, is_aperiodic_path
 from kgraphck.exhaustive import Status, _source_free_from, _subset_count, fe_enumerate
 from kgraphck.matrices import SparseMatrix
@@ -52,6 +52,9 @@ from kgraphck.repn import (
 from kgraphck.satiation import (
     FamilyCollection,
     Membership,
+    Violation,
+    _graftings,
+    _truncations,
     is_satiated,
     member,
     sigma1,
@@ -331,6 +334,49 @@ def all_satiated_by_subsets(base: FamilyCollection):
             if is_satiated(C)[0]:
                 out.append(frozenset(C.members))
     return out
+
+
+def four_loop_is_satiated(collection: FamilyCollection) -> tuple[bool, list[Violation]]:
+    """``is_satiated`` with each axiom's images enumerated by a loop of its
+    own, apart from the closure maps: the reference for the shared images."""
+    violations: list[Violation] = []
+    members = collection.members
+
+    for fam in collection.sorted_members():
+        for cand in collection.universe(fam.vertex):
+            if fam.members <= cand.members and cand not in members:
+                violations.append(
+                    Violation("S1", f"{fam!r} subset of {cand!r} not in collection")
+                )
+
+    for fam in collection.sorted_members():
+        for mu in collection.window_paths(fam.vertex):
+            if has_prefix_in(mu, fam.members):
+                continue
+            target = ext_family(mu, fam)
+            if target not in members and collection.in_window(target):
+                violations.append(
+                    Violation(
+                        "S2",
+                        f"Ext({mu.token()}; {fam!r}) = {target!r} not in collection",
+                    )
+                )
+
+    for fam in collection.sorted_members():
+        for target in _truncations(fam, budget=collection.budget):
+            if target not in members and collection.in_window(target):
+                violations.append(
+                    Violation("S3", f"truncation {target!r} of {fam!r} missing")
+                )
+
+    for fam in collection.sorted_members():
+        for grafted in _graftings(collection, fam, budget=collection.budget):
+            if grafted not in members and collection.in_window(grafted):
+                violations.append(
+                    Violation("S4", f"grafting {grafted!r} of {fam!r} missing")
+                )
+
+    return (not violations, violations)
 
 
 def _truncation_choices(fam: PathFamily, budget: int | None = None):

@@ -7,6 +7,7 @@ from kgraphck import boundary
 from kgraphck.errors import (
     CyclicGraphUnsupported,
     DomainError,
+    InvalidSpec,
     InvariantViolated,
     NoSeparation,
     PreconditionFailed,
@@ -425,6 +426,26 @@ def test_empty_boundary_raises_invariant(monkeypatch, sat_a):
     monkeypatch.setattr(boundary, "is_boundary", lambda x, S: False)
     with pytest.raises(InvariantViolated, match="empty boundary at 0,0"):
         boundary_paths("0,0", sat_a)
+
+
+def test_unknown_vertex_raises_from_graph(sat_a):
+    # an unknown vertex has no paths, which must not read as an empty boundary
+    with pytest.raises(InvalidSpec, match="unknown vertex 'nosuch'"):
+        boundary_paths("nosuch", sat_a)
+    for avoid in (None, family(sat_a.graph, [sat_a.graph.edge_path("c1:0,0")])):
+        with pytest.raises(InvalidSpec, match="unknown vertex 'nosuch'"):
+            construct_boundary("nosuch", sat_a, avoid=avoid)
+
+
+def test_construct_rejects_vertex_path_in_avoid(sat_a, omega11):
+    # every path has the vertex path as an initial segment, so no boundary
+    # path avoids such a family
+    v = omega11.vertex_path("0,0")
+    for avoid in ([v], [v, omega11.edge_path("c2:0,0")]):
+        with pytest.raises(PreconditionFailed, match="contains a vertex path"):
+            construct_boundary("0,0", sat_a, avoid=family(omega11, avoid))
+    with pytest.raises(PreconditionFailed, match="contains a vertex path"):
+        construct_boundary("0,0", FamilyCollection(omega11), avoid=family(omega11, [v]))
 
 
 def test_construction_step_guard(monkeypatch, sat_a, omega11):

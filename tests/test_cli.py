@@ -169,6 +169,30 @@ def test_truncation_budget_message_independent_of_hash_seed(tmp_path):
     assert runs[0].stderr == runs[1].stderr
 
 
+def test_grafting_budget_message_independent_of_hash_seed(tmp_path):
+    # sigma4 exceeds its budget on several members of the second round's
+    # collection; the one named is the first in family order
+    g = omega(2, Degree(2, 2))
+    graph = tmp_path / "omega22.json"
+    graph.write_text(emit_graph(g.spec))
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"families": [["c1:0,0.c1:1,0"]]}))
+    src = os.path.dirname(os.path.dirname(kgraphck.__file__))
+    runs = []
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        runs.append(
+            subprocess.run(
+                [sys.executable, "-m", "kgraphck.cli", "satiate", str(graph),
+                 "--generators", str(gens), "--budget", "3000"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+        )
+    assert [r.returncode for r in runs] == [3, 3, 3]
+    assert runs[0].stderr.startswith("budget exceeded: grafting enumeration for ")
+    assert runs[0].stderr == runs[1].stderr == runs[2].stderr
+
+
 def test_satiate_subcommand(files, capsys):
     assert main(["satiate", files["omega11"], "--generators", files["gens"], "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -597,3 +621,32 @@ def test_universe_listing_budget_exits_3(files, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "budget exceeded: 5 candidate paths exceed the subset budget 3\n"
+
+
+def test_boundary_unknown_vertex_is_input_error(files, capsys):
+    # the graph names the vertex it does not know, instead of an empty
+    # boundary reported as a broken invariant
+    assert main(["boundary", "list", files["omega21"], "--vertex", "nosuch"]) == 2
+    assert capsys.readouterr().err == "error: unknown vertex 'nosuch'\n"
+    assert main(["boundary", "construct", files["omega21"], "nosuch", "--avoid", "c1:0,0"]) == 2
+    assert capsys.readouterr().err == "error: unknown vertex 'nosuch'\n"
+
+
+def test_boundary_construct_rejects_vertex_path_avoid(files, capsys):
+    for extra in ([], ["--generators", files["gens"]]):
+        argv = ["boundary", "construct", files["omega21"], "0,0", "--avoid", "0,0"]
+        assert main(argv + extra) == 2
+        assert capsys.readouterr().err == "error: avoid family contains a vertex path\n"
+
+
+def test_verify_without_numpy_is_precondition_error(files, capsys, monkeypatch):
+    import importlib.util
+
+    real = importlib.util.find_spec
+    monkeypatch.setattr(
+        importlib.util, "find_spec", lambda name, *a: None if name == "numpy" else real(name, *a)
+    )
+    assert main(["verify", files["omega11"], "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: verify needs numpy\n"

@@ -14,6 +14,7 @@ from kgraphck.errors import (
 )
 from kgraphck.exhaustive import Status, is_exhaustive
 from kgraphck.graphio import parse_path
+from kgraphck.kgraph import Edge, SkeletonSpec, validate
 from kgraphck.satiation import (
     FamilyCollection,
     Membership,
@@ -413,3 +414,131 @@ def test_minimal_antichain_regenerates_members(omega11, omega21):
                     if any(m.members <= cand.members for m in minimal)
                 }
                 assert regenerated == set(S.at(v))
+
+
+# -- the shared axiom images and the collection's views ------------------------------
+
+
+def _two_squares():
+    """e at v meets f in two ways, e.f1 = f.e1 and e.f2 = f.e2, so
+    Ext(e; {f}) = {f1, f2} is larger than {f}."""
+    return validate(
+        SkeletonSpec(
+            2,
+            ("v", "a", "b", "c1", "c2"),
+            (
+                Edge("e", 1, "v", "a"),
+                Edge("f", 2, "v", "b"),
+                Edge("f1", 2, "a", "c1"),
+                Edge("e1", 1, "b", "c1"),
+                Edge("f2", 2, "a", "c2"),
+                Edge("e2", 1, "b", "c2"),
+            ),
+            (("e", "f1", "f", "e1"), ("e", "f2", "f", "e2")),
+        )
+    )
+
+
+def _differential_collections(g1, omega11, omega21, omega13, omega12, parallel_square):
+    """Collections over exact, windowed and capped universes: seeded draws of
+    one to three families (rarely satiated), their S1 closures, and their
+    satiations where those finish within the budget."""
+    rng = random.Random(29)
+    batch = oracles.random_graphs(7, 6)
+    two_squares = _two_squares()
+    acyclic = (omega11, omega21, omega13, omega12, parallel_square, two_squares)
+    bases = [FamilyCollection(g) for g in acyclic + (batch[0], batch[1], batch[3])]
+    bases += [
+        FamilyCollection(g1, (), depth=Degree(1, 1)),
+        FamilyCollection(omega21, depth=Degree(1, 1)),
+        FamilyCollection(omega21, max_family_size=2),
+        FamilyCollection(batch[0], max_family_size=2),
+        # S2 images of the size-1 families escape this window
+        FamilyCollection(two_squares, max_family_size=1),
+    ]
+    for base in bases:
+        yield base
+        universe = base.universe_all()
+        for _ in range(3):
+            C = base.with_members(rng.sample(universe, min(len(universe), rng.randint(1, 3))))
+            yield C
+            yield sigma1(C)
+            try:
+                yield satiate(C)
+            except UniverseTooLarge:
+                pass
+
+
+@pytest.fixture(scope="module")
+def differential(g1, omega11, omega21, omega13, omega12, parallel_square):
+    return list(_differential_collections(g1, omega11, omega21, omega13, omega12, parallel_square))
+
+
+def _outcome(fn, C):
+    try:
+        return fn(C)
+    except UniverseTooLarge as exc:
+        return str(exc)
+
+
+def test_is_satiated_matches_four_loop_oracle(differential):
+    verdicts = set()
+    for C in differential:
+        got = _outcome(is_satiated, C)
+        assert got == _outcome(oracles.four_loop_is_satiated, C)
+        verdicts.add(got[0] if isinstance(got, tuple) else got)
+    assert {True, False} <= verdicts
+    # a small budget ends both at the same family
+    budgets = 0
+    for C in differential[:40]:
+        if len(C):
+            small = C.with_members(C.members)
+            small.budget = 2
+            got = _outcome(is_satiated, small)
+            assert got == _outcome(oracles.four_loop_is_satiated, small)
+            budgets += isinstance(got, str)
+    assert budgets > 0
+
+
+def test_views_match_definitions(differential):
+    maximal_checked = 0
+    for C in differential:
+        members = C.sorted_members()
+        for v in C.graph.vertices:
+            at_v = [E for E in members if E.vertex == v]
+            assert list(C.at(v)) == at_v
+            assert list(C.minimal_at(v)) == [
+                E for E in at_v if not any(D != E and D.members <= E.members for D in at_v)
+            ]
+            outside = [F for F in C.universe_all() if F.vertex == v and F not in members]
+            assert list(C.outside(v)) == outside
+            if C.exact and C.members == sigma1(C).members:
+                # closed under supersets: the maximal families outside C,
+                # by comparing every pair of them
+                assert list(C.maximal_outside(v)) == [
+                    F for F in outside if not any(F.members < G.members for G in outside)
+                ]
+                maximal_checked += len(outside) > len(C.maximal_outside(v)) > 0
+    assert maximal_checked > 0
+
+
+def test_with_members_validates_new_families_and_resets_views(monkeypatch, omega21):
+    base = FamilyCollection(omega21)
+    universe = base.universe_all()
+    C = base.with_members(universe[:3])
+    assert C.at("0,0") and C.minimal_at("0,0") and C.outside("0,0")
+    validated = []
+    real = FamilyCollection._validate_member
+
+    def recording(self, fam):
+        validated.append(fam)
+        real(self, fam)
+
+    monkeypatch.setattr(FamilyCollection, "_validate_member", recording)
+    D = C.with_members(universe[:5])
+    assert set(validated) == set(universe[3:5]) and len(validated) == 2
+    assert set(D.outside("0,0")) == {F for F in D.universe("0,0") if F not in universe[:5]}
+    assert set(C.outside("0,0")) == {F for F in C.universe("0,0") if F not in universe[:3]}
+    assert len(D.sorted_members()) == 5 and len(C.sorted_members()) == 3
+    with pytest.raises(ValueError, match="vertex path"):
+        C.with_members([family(omega21, [omega21.vertex_path("0,0")])])
