@@ -28,7 +28,6 @@ from .satiation import (
     sigma4,
 )
 from .boundary import (
-    BoundaryPath,
     aperiodicity_counterexample,
     boundary_path,
     boundary_paths,

@@ -97,14 +97,6 @@ def position_inverse(l: int) -> tuple[int, int]:
 # -- boundary membership ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryPath:
-    """A boundary path together with the collection it is compatible with."""
-
-    path: Path
-    families: FamilyCollection
-
-
 def is_boundary(x: Path, S: FamilyCollection) -> bool:
     """Whether x meets a member of every family of S it passes."""
     S.require_exact("boundary membership")
@@ -131,22 +123,22 @@ def is_boundary_windowed(x: Path, S: FamilyCollection) -> Membership:
     return Membership.YES if S.exact else Membership.UNKNOWN
 
 
-def boundary_path(x: Path, S: FamilyCollection) -> BoundaryPath:
+def boundary_path(x: Path, S: FamilyCollection) -> Path:
+    """x, once checked to be a boundary path for S."""
     if not is_boundary(x, S):
         raise PreconditionFailed(f"{x.token()} is not a boundary path for the collection")
-    return BoundaryPath(x, S)
+    return x
 
 
-def boundary_paths(v: str, S: FamilyCollection) -> tuple[BoundaryPath, ...]:
-    """All boundary paths with range v, canonically ordered; never empty."""
+def boundary_paths(v: str, S: FamilyCollection) -> tuple[Path, ...]:
+    """All boundary paths with range v, canonically ordered; never empty;
+    listed once per collection and vertex and kept in the collection's views."""
     g = S.graph
     g.vertex_path(v)  # raises on an unknown vertex, whose path list would be empty
     if not g.is_acyclic:
         raise CyclicGraphUnsupported("boundary enumeration needs a finite path category")
     S.require_exact("boundary membership")
-    out = tuple(
-        BoundaryPath(x, S) for x in g.paths_at(v) if is_boundary(x, S)
-    )
+    out = S.view(("boundary", v), lambda: tuple(x for x in g.paths_at(v) if is_boundary(x, S)))
     if not out:
         raise InvariantViolated(
             f"empty boundary at {v}: satiated collections never strand a vertex"
@@ -154,14 +146,14 @@ def boundary_paths(v: str, S: FamilyCollection) -> tuple[BoundaryPath, ...]:
     return out
 
 
-def extend(lam: Path, x: BoundaryPath) -> BoundaryPath:
-    """lam.x as a boundary path; membership is re-checked, not assumed."""
-    return boundary_path(compose(lam, x.path), x.families)
+def extend(lam: Path, x: Path, S: FamilyCollection) -> Path:
+    """lam.x as a boundary path for S; membership is re-checked, not assumed."""
+    return boundary_path(compose(lam, x), S)
 
 
-def restrict(x: BoundaryPath, n: Degree) -> BoundaryPath:
-    """The tail of x past degree n, as a boundary path; re-checked."""
-    return boundary_path(segment(x.path, n, x.path.degree), x.families)
+def restrict(x: Path, n: Degree, S: FamilyCollection) -> Path:
+    """The tail of x past degree n, as a boundary path for S; re-checked."""
+    return boundary_path(segment(x, n, x.degree), S)
 
 
 # -- constructive builder -----------------------------------------------------------
@@ -176,7 +168,7 @@ def construct_boundary(
     v: str,
     S: FamilyCollection,
     avoid: PathFamily | None = None,
-) -> BoundaryPath:
+) -> Path:
     """Build a boundary path at v by serving diagonal-scheduled obligations.
 
     Obligation (m, j) asks that the tail of the path beyond checkpoint m
@@ -253,16 +245,15 @@ def construct_boundary(
 # -- aperiodicity -----------------------------------------------------------------
 
 
-def is_aperiodic_path(x: Path | BoundaryPath) -> bool:
+def is_aperiodic_path(x: Path) -> bool:
     """Whether no two distinct paths into r(x) admit a common extension over x."""
-    px = x.path if isinstance(x, BoundaryPath) else x
-    g = px.graph
+    g = x.graph
     if not g.is_acyclic:
         raise CyclicGraphUnsupported(
             "aperiodicity quantifies over all paths into r(x); "
             "use aperiodicity_counterexample with a window on cyclic graphs"
         )
-    return _periodic_pair(px, g.paths_into(px.range)) is None
+    return _periodic_pair(x, g.paths_into(x.range)) is None
 
 
 def aperiodicity_counterexample(
@@ -294,25 +285,24 @@ def _periodic_pair(x: Path, into) -> tuple[Path, Path] | None:
     return None
 
 
-def separation_degree(x: Path | BoundaryPath, lam: Path, mu: Path) -> Degree:
+def separation_degree(x: Path, lam: Path, mu: Path) -> Degree:
     """Least n (by total then lexicographic order) separating lam and mu over x.
 
     Returns the first n <= d(x) with no minimal common extension of
     lam.x(0,n) and mu.x(0,n); raises NoSeparation when the scan exhausts,
     signalling that x fails aperiodicity for this pair.
     """
-    px = x.path if isinstance(x, BoundaryPath) else x
     if lam == mu:
         raise PreconditionFailed("need distinct paths")
-    if lam.source != px.range or mu.source != px.range:
+    if lam.source != x.range or mu.source != x.range:
         raise PreconditionFailed("paths must end at r(x)")
-    zero = Degree.zero(px.graph.rank)
-    scan = sorted(px.degree.below(), key=lambda n: (n.total, n.coords))
+    zero = Degree.zero(x.graph.rank)
+    scan = sorted(x.degree.below(), key=lambda n: (n.total, n.coords))
     for n in scan:
-        head = segment(px, zero, n)
+        head = segment(x, zero, n)
         if not lambda_min(compose(lam, head), compose(mu, head)):
             return n
-    raise NoSeparation(f"no separation degree below {px.degree}")
+    raise NoSeparation(f"no separation degree below {x.degree}")
 
 
 # -- condition (C) -----------------------------------------------------------------
@@ -342,8 +332,7 @@ def condition_c(S: FamilyCollection) -> ConditionCReport:
     avoidance_witnesses: dict[tuple[str, PathFamily], Path] = {}
     failures: list[tuple[str, PathFamily | None]] = []
     for v in g.vertices:
-        bps = [bp.path for bp in boundary_paths(v, S)]
-        aperiodic = [x for x in bps if is_aperiodic_path(x)]
+        aperiodic = [x for x in boundary_paths(v, S) if is_aperiodic_path(x)]
         if aperiodic:
             vertex_witnesses[v] = aperiodic[0]
         else:

@@ -38,6 +38,7 @@ from .repn import (
     evaluate,
     expectation_contraction_check,
     faithful_on_core_check,
+    gap_vanishing,
     gauge_grid,
     gauge_unitary_check,
     matrix_unit_check,
@@ -250,8 +251,7 @@ def cmd_boundary_list(args) -> int:
     vertices = [args.vertex] if args.vertex else list(graph.vertices)
     report = Report("boundary-list", {"graph": args.graph, "vertex": args.vertex}, seed=args.seed)
     for v in vertices:
-        bps = boundary_paths(v, S)
-        report.add(f"boundary@{v}", None, paths=[bp.path.token() for bp in bps])
+        report.add(f"boundary@{v}", None, paths=[x.token() for x in boundary_paths(v, S)])
     report.emit(args.json)
     return 0
 
@@ -263,9 +263,9 @@ def cmd_boundary_construct(args) -> int:
     if args.avoid:
         members = [parse_path(graph, tok) for tok in args.avoid]
         avoid = PathFamily(graph, members[0].range, members)
-    bp = construct_boundary(args.vertex, S, avoid=avoid)
+    x = construct_boundary(args.vertex, S, avoid=avoid)
     report = Report("boundary-construct", {"graph": args.graph, "vertex": args.vertex}, seed=args.seed)
-    report.add("construct", True, path=bp.path.token())
+    report.add("construct", True, path=x.token())
     report.emit(args.json)
     return 0
 
@@ -317,9 +317,11 @@ def _bundle_load(graph: KGraph, doc) -> CKFamily:
     dim = doc.get("dimension")
     _require(type(dim) is int and dim >= 0, "bundle dimension must be an integer >= 0")
     _require(isinstance(doc.get("operators"), dict), "bundle operators must map path tokens to rows")
-    ops = {}
+    ops, tokens = {}, {}
     for token, rows in doc["operators"].items():
         lam = parse_path(graph, token)
+        _require(lam not in tokens, f"operators {tokens.get(lam)!r} and {token!r} give the same path")
+        tokens[lam] = token
         _require(isinstance(rows, list), f"rows of {token!r} must be a list")
         data = {}
         for row in rows:
@@ -409,7 +411,7 @@ def cmd_verify(args) -> int:
             deviation=mu_rep.max_deviation(),
         )
 
-    report.add("gap-products-iff-membership", T.gap_vanishing(S).iff_membership)
+    report.add("gap-products-iff-membership", T.kept(S, gap_vanishing).iff_membership)
 
     verdict = faithful_on_core_check(T, S)
     report.add(

@@ -15,13 +15,13 @@ SVD of a difference only where its Schur bound exceeds the maximum so far
 (:func:`gauge_unitary_check`).
 
 The checks do work in proportion to the antichain edges and the distinct
-grids, not the universe.  When TCK1-TCK3 hold (checked once per family),
-the gap product is antitone in the family, so "the gap products vanish
-exactly on S" is decided at the minimal members of S and the maximal
-families outside it (:func:`gap_vanishing`, kept on the family for its
-collection), falling back to every universe family otherwise.  The family
-keeps its gap products, each extending the product over its sorted
-members but the last (:func:`gap_product`).  The faithfulness check
+grids, not the universe.  When TCK1-TCK3 hold exactly (checked once per
+family), the gap product is antitone in the family, so the CK check and
+:func:`gap_vanishing` read one member-gap verdict taken at the minimal
+members of S (:func:`member_gaps`), and the families outside S are decided
+at the maximal ones; otherwise every member and universe family is read.
+The family keeps its gap products, each extending the product over its
+sorted members but the last (:func:`gap_product`).  The faithfulness check
 examines each distinct grid once.  Every grid computation (pairs, tails,
 the row test and theta) runs on the grid queries of
 :class:`~kgraphck.alignment.PathIndex`.
@@ -62,7 +62,7 @@ class CKFamily:
     paths), which the gauge checks require.  Use :func:`verify_family` for
     the full relation check; construction only validates shapes.  The
     operators are fixed at construction, so the family keeps its relation
-    checks, gap products and gap vanishing once computed.
+    checks, gap products and facts about its last collection (:meth:`kept`).
     """
 
     def __init__(
@@ -81,7 +81,7 @@ class CKFamily:
         self.basis = basis
         self._gap_products: dict[str, dict] = {}  # see gap_product
         self._relations: tuple[CheckResult, ...] | None = None
-        self._gaps: tuple[FamilyCollection, GapVanishing] | None = None
+        self._kept: dict = {}  # fact -> (collection, value), see kept
 
     def relation_checks(self) -> tuple[CheckResult, ...]:
         """TCK1-TCK3 for this family, checked on first use and then kept
@@ -90,12 +90,13 @@ class CKFamily:
             self._relations = _relation_checks(self)
         return self._relations
 
-    def gap_vanishing(self, S: FamilyCollection) -> GapVanishing:
-        """:func:`gap_vanishing` against S, computed on first use and kept
-        for the last collection asked about."""
-        if self._gaps is None or self._gaps[0] is not S:
-            self._gaps = (S, gap_vanishing(self, S))
-        return self._gaps[1]
+    def kept(self, S: FamilyCollection, fact):
+        """fact(self, S) (:func:`member_gaps`, :func:`gap_vanishing`), kept
+        for the last collection it was asked about."""
+        kept = self._kept.get(fact)
+        if kept is None or kept[0] is not S:
+            kept = self._kept[fact] = (S, fact(self, S))
+        return kept[1]
 
     def is_rational(self) -> bool:
         """Whether every operator entry is an exact rational."""
@@ -116,8 +117,12 @@ class CKFamily:
         m = self.op(lam)
         return m @ m.adjoint()
 
+    def zero_vertices(self) -> tuple[str, ...]:
+        """The vertices whose operator is zero, in vertex order."""
+        return tuple(v for v in self.graph.vertices if self.vertex_op(v).is_zero())
+
     def is_degenerate(self) -> bool:
-        return all(self.vertex_op(v).is_zero() for v in self.graph.vertices)
+        return len(self.zero_vertices()) == len(self.graph.vertices)
 
     def to_complex(self) -> "CKFamily":
         """The same family over complex floats (for the analytic checks)."""
@@ -250,27 +255,37 @@ def _tck3(T: CKFamily, paths: Sequence[Path], common_range: bool) -> CheckResult
     return CheckResult("TCK3", worst == 0.0, worst, bad)
 
 
-def verify_family(
-    T: CKFamily, generators: Iterable[PathFamily] | FamilyCollection = ()
-) -> FamilyReport:
+def verify_family(T: CKFamily, S: FamilyCollection | None = None) -> FamilyReport:
     """Check the partial-isometry relations and the gap relation.
 
     The four checks: vertex operators are mutually orthogonal projections;
     composition is multiplicative; adjoint cross-terms expand over minimal
-    common extensions; and the gap product vanishes for every generator
-    family.  Exact for rational entries.  The first three depend on the
-    family alone and are computed once per family (``relation_checks``).
+    common extensions; and the gap product vanishes for every member of S,
+    if given (:func:`member_gaps`).  Exact for rational entries.  The first
+    three depend on the family alone and are computed once per family
+    (``relation_checks``).
     """
     report = FamilyReport(list(T.relation_checks()), degenerate=T.is_degenerate())
-    members = generators.members if isinstance(generators, FamilyCollection) else generators
-    worst = 0.0
-    bad = ""
-    for fam in members:
-        d = gap_product(T, fam.members, fam.vertex).max_abs()
-        if d > worst:
-            worst, bad = d, f"gap product of {fam!r}"
-    report.results.append(CheckResult("CK", worst == 0.0, worst, bad))
+    worst, bad = (0.0, None) if S is None else T.kept(S, member_gaps)
+    detail = "" if bad is None else f"gap product of {bad!r}"
+    report.results.append(CheckResult("CK", worst == 0.0, worst, detail))
     return report
+
+
+def member_gaps(T: CKFamily, S: FamilyCollection) -> tuple[float, PathFamily | None]:
+    """The largest max_abs of a member's gap product, and the first member in
+    family order reaching it (None if all vanish).  When TCK1-TCK3 hold
+    exactly on rational entries the gap products are projections, antitone
+    in the family and largest on the diagonal, and a family follows its
+    subfamilies, so the minimal members give the same answer."""
+    exact = T.is_rational() and all(r.ok for r in T.relation_checks())
+    members = [E for v in S.graph.vertices for E in S.minimal_at(v)] if exact else S
+    worst, bad = 0.0, None
+    for E in members:
+        d = gap_product(T, E.members, E.vertex).max_abs()
+        if d > worst:
+            worst, bad = d, E
+    return worst, bad
 
 
 # -- the boundary-path representation ----------------------------------------------
@@ -283,10 +298,7 @@ def boundary_rep(graph: KGraph, S: FamilyCollection, verify: bool = True) -> CKF
     e_x to e_{lam.x} when s(lam) = r(x) and kills it otherwise.  The result
     passes every relation exactly, with the members of S as generators.
     """
-    basis: list[Path] = []
-    for v in graph.vertices:
-        basis.extend(bp.path for bp in boundary_paths(v, S))
-    basis.sort(key=path_sort_key)
+    basis = sorted((x for v in graph.vertices for x in boundary_paths(v, S)), key=path_sort_key)
     index = {x: i for i, x in enumerate(basis)}
     dim = len(basis)
     ops = {}
@@ -298,7 +310,7 @@ def boundary_rep(graph: KGraph, S: FamilyCollection, verify: bool = True) -> CKF
         report = verify_family(T, S)
         if not report.ok:
             raise InvariantViolated(f"boundary representation failed: {report.failed()}")
-        if any(T.vertex_op(v).is_zero() for v in graph.vertices):
+        if T.zero_vertices():
             raise InvariantViolated("boundary representation has a zero vertex operator")
     return T
 
@@ -447,26 +459,19 @@ def _vanishes(T: CKFamily, F: PathFamily) -> bool:
 
 
 def gap_vanishing(T: CKFamily, S: FamilyCollection) -> GapVanishing:
-    """Whether the gap product of every member of S vanishes, and the
-    universe families outside S whose gap product vanishes.
-
-    When TCK1-TCK3 hold the range projections at a vertex commute, so the
-    gap product of F is a projection antitone in F.  On an exact universe
-    with rational entries it then suffices to look at the antichain edges:
-    the members vanish iff the minimal members do, and no family outside S
-    vanishes if no maximal family outside S does (every family outside S
-    lies below one).  Otherwise, or when a maximal family outside S does
-    vanish, every universe family is checked.
-    """
+    """Whether the gap product of every member of S vanishes (read off
+    :func:`member_gaps`), and the universe families outside S whose gap
+    product vanishes.  When TCK1-TCK3 hold the gap product of F is a
+    projection antitone in F, so on an exact universe with rational entries
+    no family outside S vanishes if no maximal one does (every family
+    outside S lies below one); otherwise, or if one does, each is checked."""
     vertices = S.graph.vertices
     outside = [F for v in vertices for F in S.outside(v)]  # an oversized universe fails here
+    members_vanish = T.kept(S, member_gaps)[0] == 0.0
     if S.exact and T.is_rational() and all(r.ok for r in T.relation_checks()):
         if not any(_vanishes(T, F) for v in vertices for F in S.maximal_outside(v)):
-            members_vanish = all(_vanishes(T, E) for v in vertices for E in S.minimal_at(v))
             return GapVanishing(members_vanish, ())
-    return GapVanishing(
-        all(_vanishes(T, E) for E in S), tuple(F for F in outside if _vanishes(T, F))
-    )
+    return GapVanishing(members_vanish, tuple(F for F in outside if _vanishes(T, F)))
 
 
 # -- faithfulness --------------------------------------------------------------------
@@ -490,7 +495,7 @@ class FaithfulnessVerdict:
 
 def _route_b(T: CKFamily, gaps: GapVanishing) -> list[str]:
     """Zero vertex operators, and vanished gap products of families outside S."""
-    out = [f"vertex operator {v} is zero" for v in T.graph.vertices if T.vertex_op(v).is_zero()]
+    out = [f"vertex operator {v} is zero" for v in T.zero_vertices()]
     out += [f"gap product of {F!r} vanished" for F in gaps.vanished_outside]
     return out
 
@@ -548,7 +553,7 @@ def faithful_on_core_check(T: CKFamily, S: FamilyCollection) -> FaithfulnessVerd
         lam, mu = paths[i], paths[j]
         if (rows[(i, tails)] @ T.op(mu).adjoint()).is_zero():
             a_viol.append(f"theta({lam.token()},{mu.token()}) vanished in grid of size {size}")
-    b_viol = _route_b(T, T.gap_vanishing(S))
+    b_viol = _route_b(T, T.kept(S, gap_vanishing))
     return FaithfulnessVerdict(not a_viol, not b_viol, a_viol, b_viol)
 
 
@@ -584,7 +589,7 @@ class UniquenessHypotheses:
 def check_uniqueness_hypotheses(T: CKFamily, S: FamilyCollection) -> UniquenessHypotheses:
     """Verified relations, route (b) of the faithfulness check, and condition (C)."""
     return UniquenessHypotheses(
-        verify_family(T, S).ok, not _route_b(T, T.gap_vanishing(S)), condition_c(S).ok
+        verify_family(T, S).ok, not _route_b(T, T.kept(S, gap_vanishing)), condition_c(S).ok
     )
 
 

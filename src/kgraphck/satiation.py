@@ -74,12 +74,13 @@ class FamilyCollection:
             and graph.max_degree <= depth
             and max_family_size is None
         )
-        self.members = frozenset(members)
         self._universe: dict[str, tuple[PathFamily, ...]] = {}
         self._universe_sets: dict[str, frozenset] = {}
         self._views: dict = {}  # derived from the members, built on first use
-        for fam in self.members:
+        members = tuple(members)
+        for fam in members:  # in the order given, so an error names the same family every run
             self._validate_member(fam)
+        self.members = frozenset(members)
 
     def _validate_member(self, fam: PathFamily) -> None:
         if fam.graph is not self.graph:
@@ -146,17 +147,18 @@ class FamilyCollection:
 
     # -- derived views, each built once per collection --
 
-    def _view(self, key, build):
+    def view(self, key, build):
+        """build(), kept with the members; views never hold the collection."""
         if key not in self._views:
             self._views[key] = build()
         return self._views[key]
 
     def sorted_members(self) -> tuple[PathFamily, ...]:
-        return self._view("sorted", lambda: tuple(sorted(self.members, key=lambda f: f.sort_key())))
+        return self.view("sorted", lambda: tuple(sorted(self.members, key=lambda f: f.sort_key())))
 
     def at(self, v: str) -> tuple[PathFamily, ...]:
         """The members at v, in family order."""
-        return self._view("at", self._by_vertex).get(v, ())
+        return self.view("at", self._by_vertex).get(v, ())
 
     def _by_vertex(self) -> dict[str, tuple[PathFamily, ...]]:
         # family order sorts by vertex first
@@ -165,11 +167,11 @@ class FamilyCollection:
 
     def minimal_at(self, v: str) -> tuple[PathFamily, ...]:
         """The inclusion-minimal members at v, in family order."""
-        return self._view(("minimal", v), lambda: _minimal(self.at(v)))
+        return self.view(("minimal", v), lambda: _minimal(self.at(v)))
 
     def outside(self, v: str) -> tuple[PathFamily, ...]:
         """The universe families at v that are not members, in universe order."""
-        return self._view(
+        return self.view(
             ("outside", v), lambda: tuple(F for F in self.universe(v) if F not in self.members)
         )
 
@@ -187,7 +189,7 @@ class FamilyCollection:
                 if all(F.members | {p} in inside for p in candidates if p not in F.members)
             )
 
-        return self._view(("maximal_outside", v), build)
+        return self.view(("maximal_outside", v), build)
 
     def require_exact(self, what: str) -> None:
         """Raise ``InexactUniverse`` unless the universe is exact."""
@@ -195,12 +197,13 @@ class FamilyCollection:
             raise InexactUniverse(f"{what} needs an exact universe (acyclic, full window)")
 
     def with_members(self, members: Iterable[PathFamily]) -> "FamilyCollection":
-        """These members over the same universe; only new families are validated."""
-        members = frozenset(members)
-        for fam in members - self.members:
-            self._validate_member(fam)
+        """These members over the same universe; new families are validated in the order given."""
+        members = tuple(members)
+        for fam in members:
+            if fam not in self.members:
+                self._validate_member(fam)
         out = copy.copy(self)
-        out.members = members
+        out.members = frozenset(members)
         out._views = {}
         return out
 

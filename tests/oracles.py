@@ -40,6 +40,7 @@ from kgraphck.boundary import ConditionCReport, boundary_paths, condition_c, is_
 from kgraphck.exhaustive import Status, _source_free_from, _subset_count, fe_enumerate
 from kgraphck.matrices import SparseMatrix
 from kgraphck.repn import (
+    CheckResult,
     CKFamily,
     FaithfulnessVerdict,
     GapVanishing,
@@ -661,8 +662,7 @@ def per_family_condition_c(S: FamilyCollection) -> ConditionCReport:
     avoidance_witnesses = {}
     failures = []
     for v in g.vertices:
-        bps = [bp.path for bp in boundary_paths(v, S)]
-        aperiodic = [x for x in bps if is_aperiodic_path(x)]
+        aperiodic = [x for x in boundary_paths(v, S) if is_aperiodic_path(x)]
         if aperiodic:
             vertex_witnesses[v] = aperiodic[0]
         else:
@@ -689,6 +689,14 @@ def universe_gap_vanishing(T: CKFamily, S: FamilyCollection) -> GapVanishing:
         elif vanishes:
             outside.append(F)
     return GapVanishing(members_vanish, tuple(outside))
+
+
+def all_members_ck(T: CKFamily, S: FamilyCollection) -> CheckResult:
+    """verify_family's CK result from every member's gap product; ``max``
+    returns the first member in family order reaching the largest."""
+    gaps = [(gap_product(T, E.members, E.vertex).max_abs(), E) for E in S.sorted_members()]
+    worst, bad = max(gaps, key=lambda gap: gap[0], default=(0.0, None))
+    return CheckResult("CK", worst == 0.0, worst, f"gap product of {bad!r}" if worst else "")
 
 
 def every_svd_gauge_unitary_check(T: CKFamily, zs) -> float:

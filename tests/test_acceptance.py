@@ -298,22 +298,22 @@ def test_c10_boundary_existence_and_avoidance(acyclic_setups):
     for name, g, collections, reps in acyclic_setups:
         for key, S in collections.items():
             enumerated = {
-                v: {bp.path for bp in boundary_paths(v, S)} for v in g.vertices
+                v: set(boundary_paths(v, S)) for v in g.vertices
             }
             for v in g.vertices:
                 assert enumerated[v], (name, key, v)
                 bp = construct_boundary(v, S)
-                assert bp.path in enumerated[v]
+                assert bp in enumerated[v]
                 for F in S.universe(v):
                     if member(F, S) is Membership.YES:
                         continue
                     got = construct_boundary(v, S, avoid=F)
-                    assert got.path in enumerated[v], (name, key, v)
-                    assert not has_prefix_in(got.path, F.members)
+                    assert got in enumerated[v], (name, key, v)
+                    assert not has_prefix_in(got, F.members)
                     escaping = {
                         x for x in enumerated[v] if not has_prefix_in(x, F.members)
                     }
-                    assert got.path in escaping and escaping
+                    assert got in escaping and escaping
                     constructions += 1
     print(
         f"criterion 10: boundary existence and avoidance PASS "

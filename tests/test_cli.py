@@ -145,6 +145,19 @@ def test_budget_exit_code(files, capsys):
     )
 
 
+def _hash_seed_runs(argv, seeds=("0", "1", "2")):
+    """The CLI run once per PYTHONHASHSEED value, each in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(kgraphck.__file__))
+    return [
+        subprocess.run(
+            [sys.executable, "-m", "kgraphck.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+        )
+        for seed in seeds
+    ]
+
+
 def test_truncation_budget_message_independent_of_hash_seed(tmp_path):
     # several families at 0,0 of omega(2,(2,2)) exceed 300 truncation vectors
     # in sigma3's first round; the one named is the first in family order
@@ -153,17 +166,8 @@ def test_truncation_budget_message_independent_of_hash_seed(tmp_path):
     graph.write_text(emit_graph(g.spec))
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps({"families": [[g.paths("0,0", Degree(2, 2))[0].token()]]}))
-    src = os.path.dirname(os.path.dirname(kgraphck.__file__))
-    runs = []
-    for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        runs.append(
-            subprocess.run(
-                [sys.executable, "-m", "kgraphck.cli", "satiate", str(graph),
-                 "--generators", str(gens), "--budget", "300"],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-        )
+    argv = ["satiate", str(graph), "--generators", str(gens), "--budget", "300"]
+    runs = _hash_seed_runs(argv, seeds=("1", "2"))
     assert [r.returncode for r in runs] == [3, 3]
     assert runs[0].stderr.startswith("budget exceeded: ")
     assert runs[0].stderr == runs[1].stderr
@@ -177,20 +181,67 @@ def test_grafting_budget_message_independent_of_hash_seed(tmp_path):
     graph.write_text(emit_graph(g.spec))
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps({"families": [["c1:0,0.c1:1,0"]]}))
-    src = os.path.dirname(os.path.dirname(kgraphck.__file__))
-    runs = []
-    for hash_seed in ("0", "1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        runs.append(
-            subprocess.run(
-                [sys.executable, "-m", "kgraphck.cli", "satiate", str(graph),
-                 "--generators", str(gens), "--budget", "3000"],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-        )
+    runs = _hash_seed_runs(["satiate", str(graph), "--generators", str(gens), "--budget", "3000"])
     assert [r.returncode for r in runs] == [3, 3, 3]
     assert runs[0].stderr.startswith("budget exceeded: grafting enumeration for ")
     assert runs[0].stderr == runs[1].stderr == runs[2].stderr
+
+
+def test_generator_validation_follows_file_order(tmp_path):
+    # no family of three edges into u is exhaustive but the one of all three;
+    # the error names the first family of the file under every hash seed
+    graph = tmp_path / "three.json"
+    edges = [[e, 1, "u", w] for e, w in (("a", "x"), ("b", "y"), ("c", "z"))]
+    graph.write_text(json.dumps({"rank": 1, "vertices": ["u", "x", "y", "z"], "edges": edges, "squares": []}))
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"families": [["a"], ["b"], ["c"], ["a", "b"], ["b", "c"]]}))
+    runs = _hash_seed_runs(["satiate", str(graph), "--generators", str(gens)])
+    want = f"error: generators {str(gens)!r}: PathFamily(u: {{a}}) is not in the family universe\n"
+    assert [(r.returncode, r.stderr) for r in runs] == [(2, want)] * 3
+
+
+def test_tampered_bundle_report_independent_of_hash_seed(files, tmp_path):
+    # with the identity at 0,0 the relations fail, so CK checks every member,
+    # and several reach the largest deviation: it names the first in family
+    # order, as the all-members oracle does
+    import oracles
+    from kgraphck.cli import _bundle_load
+    from kgraphck.graphio import parse_families, read_json
+    from kgraphck.satiation import FamilyCollection, satiate
+
+    bundle = tmp_path / "bundle.json"
+    gen_args = ["--generators", files["gens"]]
+    assert main(["represent", files["omega21"], *gen_args, "--out", str(bundle)]) == 0
+    doc = json.loads(bundle.read_text())
+    doc["operators"]["0,0"] = [[i, i, "1"] for i in range(doc["dimension"])]
+    bundle.write_text(json.dumps(doc))
+    argv = ["verify", files["omega21"], *gen_args, "--bundle", str(bundle), "--windows", "0", "--json"]
+    runs = _hash_seed_runs(argv)
+    assert [r.returncode for r in runs] == [1, 1, 1]
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+    ck = next(r for r in json.loads(runs[0].stdout)["results"] if r["name"] == "CK")
+    g = omega(2, Degree(2, 1))
+    S = satiate(FamilyCollection(g, parse_families(g, read_json(files["gens"]))))
+    assert ck["detail"] == oracles.all_members_ck(_bundle_load(g, doc), S).detail
+
+
+def test_verify_lists_each_boundary_once(files, monkeypatch, capsys):
+    # the representation and condition (C) read one listing per vertex
+    from collections import Counter
+    from kgraphck import boundary
+
+    checked = Counter()
+    is_boundary = boundary.is_boundary
+
+    def counting(x, S):
+        checked[x.token()] += 1
+        return is_boundary(x, S)
+
+    monkeypatch.setattr(boundary, "is_boundary", counting)
+    argv = ["verify", files["omega21"], "--generators", files["gens"], "--windows", "0", "--json"]
+    assert main(argv) == 0
+    paths = omega(2, Degree(2, 1)).all_paths()
+    assert checked == Counter(p.token() for p in paths)
 
 
 def test_satiate_subcommand(files, capsys):
@@ -472,6 +523,22 @@ def test_verify_reports_unfaithful_bundle(files, tmp_path, capsys):
         "status": "info",
         "detail": "hypotheses not met",
     }
+
+
+def test_bundle_path_given_twice_exits_2(files, tmp_path, capsys):
+    # c2:0,0.c1:0,1 and c1:0,0.c2:1,0 are one path; the later operator would
+    # silently replace the earlier one
+    bundle = tmp_path / "bundle.json"
+    assert main(["represent", files["omega11"], "--out", str(bundle)]) == 0
+    doc = json.loads(bundle.read_text())
+    doc["operators"] = {"c2:0,0.c1:0,1": [[0, 0, "7"]], **doc["operators"]}
+    bundle.write_text(json.dumps(doc))
+    assert main(["verify", files["omega11"], "--bundle", str(bundle), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: operators 'c2:0,0.c1:0,1' and 'c1:0,0.c2:1,0' give the same path\n"
+    )
 
 
 def _set_entry(doc, index, value):

@@ -355,10 +355,10 @@ def test_moving_nonzero_gaps(omega11, sat_a):
         if F in sat_a.members:
             continue
         for bp in boundary_paths(F.vertex, sat_a):
-            if has_prefix_in(bp.path, F.members):
+            if has_prefix_in(bp, F.members):
                 continue
-            for n in bp.path.degree.below():
-                head = segment(bp.path, Degree(0, 0), n)
+            for n in bp.degree.below():
+                head = segment(bp, Degree(0, 0), n)
                 compressed = (
                     gap_product(T, F.members, F.vertex) @ T.range_projection(head)
                 )
@@ -410,12 +410,9 @@ def test_gap_vanishing_matches_universe_loop(request, monkeypatch, name):
     assert shortcuts >= 3  # the antichain-edge checks decided some cases
 
 
-def test_gap_vanishing_without_commuting_projections(omega11):
-    # every vertex acts as the identity on C^2, and at 0,0 the gaps of b, a
-    # and ab project onto e1, (e1 + e2)/2 and e2: the gap product of {b, ab}
-    # vanishes, that of the larger {b, a, ab} does not, so the relations
-    # fail and every family is checked
-    g = omega11
+def _noncommuting_family(g):
+    """On omega11: every vertex acts as the identity on C^2, and at 0,0 the
+    gaps of b, a and ab project onto e1, (e1 + e2)/2 and e2."""
     half = Fraction(1, 2)
     proj = {
         "c2:0,0": {(1, 1): Fraction(1)},
@@ -428,13 +425,89 @@ def test_gap_vanishing_without_commuting_projections(omega11):
         else SparseMatrix(2, 2, proj.get(lam.token(), {}))
         for lam in g.all_paths()
     }
-    T = CKFamily(g, 2, ops)
+    return CKFamily(g, 2, ops)
+
+
+def test_gap_vanishing_without_commuting_projections(omega11):
+    # the gap product of {b, ab} vanishes, that of the larger {b, a, ab}
+    # does not, so the relations fail and every family is checked
+    g = omega11
+    T = _noncommuting_family(g)
     S = FamilyCollection(g)
     got = repn.gap_vanishing(T, S)
     assert got == oracles.universe_gap_vanishing(T, S)
     vanished = {tuple(p.token() for p in F) for F in got.vanished_outside}
     assert ("c2:0,0", "c1:0,0.c2:1,0") in vanished
     assert ("c2:0,0", "c1:0,0", "c1:0,0.c2:1,0") not in vanished
+
+
+def _ck(T, S):
+    """verify_family's CK result for T against S."""
+    return verify_family(T, S).results[-1]
+
+
+@pytest.mark.parametrize("name", ["omega11", "omega21", "b7.0"])
+def test_ck_matches_all_members_oracle(request, name):
+    # intact representations, each against every collection of the chain
+    # (a smaller collection's representation against a larger one), a
+    # scaled one, float copies, the zero family, tampered bundles, and
+    # collections of generators only
+    from test_injections import TAMPERS, tamper
+    from kgraphck.cli import _bundle_load, _bundle_of
+
+    g = FAITHFUL_DIFFERENTIAL[name]() if name in FAITHFUL_DIFFERENTIAL else request.getfixturevalue(name)
+    universe = FamilyCollection(g).universe_all()
+    rng = random.Random(f"{name}:ck")
+    chain = [
+        satiate(FamilyCollection(g)),
+        satiate(FamilyCollection(g, [rng.choice(universe)])),
+        full_fe_collection(g),
+    ]
+    generators = [FamilyCollection(g, rng.sample(universe, k)) for k in (1, 3, 6)]
+    doc = _bundle_of(boundary_rep(g, chain[0]))
+    families = _gap_families(g, chain) + [_bundle_load(g, tamper(doc, g, kind)) for kind in TAMPERS]
+    failing = 0
+    for T in families:
+        for S in chain + generators:
+            want = oracles.all_members_ck(T, S)
+            assert _ck(T, S) == want
+            assert T.kept(S, repn.gap_vanishing).members_vanish == want.ok
+            failing += not want.ok
+    assert failing >= 10
+
+
+def test_ck_reads_every_member_without_commuting_projections(omega11):
+    # the gap product of the minimal member {b, ab} vanishes and that of
+    # {b, a, ab} does not, so the minimal members alone would pass CK
+    g = omega11
+    T = _noncommuting_family(g)
+    b, a, ab = (g.paths("0,0", Degree(*d))[0] for d in ((0, 1), (1, 0), (1, 1)))
+    S = FamilyCollection(g, [family(g, [b, ab]), family(g, [b, a, ab])])
+    assert gap_product(T, [b, ab], "0,0").is_zero()
+    assert T.is_rational() and not all(r.ok for r in T.relation_checks())
+    want = oracles.all_members_ck(T, S)
+    assert not want.ok
+    assert _ck(T, S) == want
+    assert not T.kept(S, repn.gap_vanishing).members_vanish
+
+
+def test_ck_witness_is_first_in_family_order(omega21):
+    # with the identity at 0,0 several members reach the largest deviation;
+    # CK names the first of them in family order
+    from kgraphck.cli import _bundle_load, _bundle_of
+
+    g = omega21
+    S = satiate(FamilyCollection(g, [family(g, [g.edge_path("c1:0,0")])]))
+    doc = _bundle_of(boundary_rep(g, S))
+    doc["operators"]["0,0"] = [[i, i, "1"] for i in range(doc["dimension"])]
+    T = _bundle_load(g, doc)
+    worst, first = T.kept(S, repn.member_gaps)
+    reaching = [
+        E for E in S.sorted_members() if gap_product(T, E.members, E.vertex).max_abs() == worst
+    ]
+    assert worst > 0 and len(reaching) > 1 and first == reaching[0]
+    assert _ck(T, S) == oracles.all_members_ck(T, S)
+    assert _ck(T, S).detail == f"gap product of {first!r}"
 
 
 # -- faithfulness -------------------------------------------------------------------------
