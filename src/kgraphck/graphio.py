@@ -69,10 +69,20 @@ def spec_from_dict(doc: Any) -> SkeletonSpec:
 
 
 def read_json(path: str) -> Any:
-    """The JSON document in a file; an unreadable or malformed file is a ParseError."""
+    """The JSON document in a file; an unreadable or malformed file, or an
+    object naming one key twice (where ``json`` would keep the last value),
+    is a ParseError."""
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        out = {}
+        for key, value in pairs:
+            _require(key not in out, f"{path} repeats the key {key!r} in one object")
+            out[key] = value
+        return out
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -35,7 +35,7 @@ from kgraphck.kgraph import (
     validate,
     vertex_at,
 )
-from kgraphck.alignment import PathFamily, ext, ext_family, has_prefix_in, pi_closure
+from kgraphck.alignment import PathFamily, ext, ext_family, has_prefix_in, lambda_min, pi_closure
 from kgraphck.boundary import ConditionCReport, boundary_paths, condition_c, is_aperiodic_path
 from kgraphck.exhaustive import Status, _source_free_from, _subset_count, fe_enumerate
 from kgraphck.matrices import SparseMatrix
@@ -46,6 +46,7 @@ from kgraphck.repn import (
     GapVanishing,
     MatrixUnitReport,
     _z_power,
+    evaluate,
     gap_product,
     gauge_unitary,
     verify_family,
@@ -710,6 +711,61 @@ def every_svd_gauge_unitary_check(T: CKFamily, zs) -> float:
             mat = T.op(lam).to_dense()
             dev = np.linalg.norm(U @ mat @ U.conj().T - _z_power(z, lam.degree) * mat, 2)
             worst = max(worst, float(dev))
+    return worst
+
+
+def every_pair_tck3(T: CKFamily) -> CheckResult:
+    """TCK3 over every ordered pair (lam, mu) of paths, in path order, with
+    no pair skipped: the reference for ``repn._tck3``."""
+    worst = 0.0
+    bad = ""
+    paths = T.graph.all_paths()
+    for lam in paths:
+        for mu in paths:
+            rhs = SparseMatrix.zero(T.dim)
+            for pair in lambda_min(lam, mu):
+                rhs = rhs + T.op(pair.alpha) @ T.op(pair.beta).adjoint()
+            d = (T.op(lam).adjoint() @ T.op(mu) - rhs).max_abs()
+            if d > worst:
+                worst, bad = d, f"({lam.token()}, {mu.token()})"
+    return CheckResult("TCK3", worst == 0.0, worst, bad)
+
+
+def loop_sampled_gauge_average(T: CKFamily, a, zs):
+    """sampled_gauge_average with both products taken by matrix product."""
+    import numpy as np
+
+    acc = np.zeros((T.dim, T.dim), dtype=complex)
+    mat = evaluate(a, T).to_dense()
+    for z in zs:
+        U = gauge_unitary(T, z)
+        acc += U @ mat @ U.conj().T
+    return acc / len(zs)
+
+
+def dense_gauge_unitary_check(T: CKFamily, zs) -> float:
+    """gauge_unitary_check with every difference formed densely: two
+    products per grid point and path, each skipped by its Schur bound or
+    given an SVD as in ``repn.gauge_unitary_check``."""
+    import numpy as np
+
+    tiny = np.finfo(float).tiny
+    worst = 0.0
+    for z in zs:
+        U = gauge_unitary(T, z)
+        U_star = U.conj().T
+        for lam in T.graph.all_paths():
+            mat = T.op(lam).to_dense()
+            D = U @ mat @ U_star - _z_power(z, lam.degree) * mat
+            entries = np.abs(D)
+            norm1 = entries.sum(axis=0).max(initial=0.0)
+            norm_inf = entries.sum(axis=1).max(initial=0.0)
+            if not norm1 or (
+                min(norm1, norm_inf) >= tiny
+                and np.sqrt(norm1) * np.sqrt(norm_inf) * (1 + 1e-6) <= worst
+            ):
+                continue
+            worst = max(worst, float(np.linalg.norm(D, 2)))
     return worst
 
 

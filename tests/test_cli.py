@@ -489,6 +489,34 @@ def test_non_string_generator_token_exits_2(files, tmp_path, capsys):
     assert "path tokens" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["bundle", "graph", "generators"])
+def test_repeated_json_key_exits_2(files, tmp_path, capsys, kind):
+    # json keeps the last of two equal keys: a bundle's first operator for a
+    # token, a graph's first rank or a generator file's first families would
+    # be dropped silently
+    path = tmp_path / f"{kind}.json"
+    if kind == "bundle":
+        assert main(["represent", files["omega11"], "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        key = next(iter(doc["operators"]))
+        text = json.dumps(doc).replace('"operators": {', f'"operators": {{"{key}": [[0, 0, "7"]], ')
+        argv = ["verify", files["omega11"], "--bundle", str(path), "--json"]
+    elif kind == "graph":
+        key = "rank"
+        with open(files["omega11"]) as fh:
+            text = fh.read().replace("{", '{"rank": 3, ', 1)
+        argv = ["validate", str(path)]
+    else:
+        key = "families"
+        text = '{"families": [["c1:0,0"]], "families": [["c2:0,0"]]}'
+        argv = ["satiate", files["omega11"], "--generators", str(path)]
+    path.write_text(text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} repeats the key {key!r} in one object\n"
+
+
 def test_verify_reports_unfaithful_bundle(files, tmp_path, capsys):
     # the representation of a larger collection, checked against the empty one
     bundle = tmp_path / "bundle.json"

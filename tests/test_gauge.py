@@ -1,29 +1,41 @@
-"""gauge_unitary_check against the loop that takes every 2-norm.
+"""The gauge checks against the loops they replace.
 
-The check skips the SVD of a difference whose Schur bound cannot raise the
-maximum; its result must still be the same float, bit for bit, as
-``oracles.every_svd_gauge_unitary_check``.  The families are the boundary
-representations of the graphs ``verify`` is benchmarked on, a float copy,
-and tampered bundles, two of which are not partial injections.
+gauge_unitary_check skips the SVD of a difference whose Schur bound cannot
+raise the maximum, and reads the bound of a partial injection's difference
+off one product per grid point; its result must still be the same float,
+bit for bit, as ``oracles.every_svd_gauge_unitary_check``, and the same
+float after the same SVDs as ``oracles.dense_gauge_unitary_check``, which
+forms every difference.  sampled_gauge_average scales rows where eval(a) is
+real, and must give the entries of ``oracles.loop_sampled_gauge_average``.
+The families are the boundary representations of the graphs ``verify`` is
+benchmarked on and two larger ones, their float copies, a gauge-twisted
+copy with complex entries, and tampered bundles, four of which are not
+partial injections.
 """
 
-import json
+import cmath
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kgraphck.boundary import omega
-from kgraphck.cli import _bundle_load, _bundle_of
+from kgraphck.cli import _bundle_load, _bundle_of, _random_element
 from kgraphck.degree import Degree
-from kgraphck.graphio import parse_path
 from kgraphck.matrices import PartialInjection, SparseMatrix
-from kgraphck.repn import CKFamily, boundary_rep, gauge_grid, gauge_unitary_check
+from kgraphck.repn import (
+    CKFamily,
+    _z_power,
+    boundary_rep,
+    evaluate,
+    gauge_grid,
+    gauge_unitary_check,
+    sampled_gauge_average,
+)
 from kgraphck.satiation import FamilyCollection, satiate
 
 import oracles
-from test_injections import tamper
+from test_injections import DEFECTS, defect
 
 # (graph, with one drawn generator)
 GRAPHS = {
@@ -34,10 +46,14 @@ GRAPHS = {
     "omega111+gen": (lambda: omega(3, Degree(1, 1, 1)), True),
     "b7.0+gen": (lambda: oracles.random_graphs(7, 6)[0], True),
 }
+LARGER = {
+    "omega33": (lambda: omega(2, Degree(3, 3)), False),
+    "omega211": (lambda: omega(3, Degree(2, 1, 1)), False),
+}
 
 
 def _representation(name):
-    make, with_gen = GRAPHS[name]
+    make, with_gen = {**GRAPHS, **LARGER}[name]
     g = make()
     gens = []
     if with_gen:
@@ -45,7 +61,7 @@ def _representation(name):
     return g, boundary_rep(g, satiate(FamilyCollection(g, gens)), verify=False)
 
 
-def _svd_count(monkeypatch, T, zs):
+def _svd_count(monkeypatch, T, zs, check=gauge_unitary_check):
     calls = []
     norm = np.linalg.norm
 
@@ -54,9 +70,17 @@ def _svd_count(monkeypatch, T, zs):
         return norm(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
-    got = gauge_unitary_check(T, zs)
+    got = check(T, zs)
     monkeypatch.undo()
     return got, len(calls)
+
+
+def _same_as_dense(monkeypatch, T, zs):
+    """Asserts that the check and the dense loop give the same float after
+    the same number of SVDs, and returns that float."""
+    got = _svd_count(monkeypatch, T, zs)
+    assert got == _svd_count(monkeypatch, T, zs, oracles.dense_gauge_unitary_check)
+    return got[0]
 
 
 @pytest.mark.parametrize("name", list(GRAPHS))
@@ -73,47 +97,25 @@ def test_gauge_check_matches_every_svd(monkeypatch, name):
         assert svds < len(zs) * len(g.all_paths()) // 4
 
 
-def _edit(doc, graph, kind):
-    """A copy of a bundle with one defect: a kind of ``tamper``, an edge
-    entry 1/2 ("half"; no longer a partial injection), or a vertex entry
-    joining basis paths of different degrees ("skew"; no longer gauge
-    invariant, nor a partial injection), or that one scaled by 1e-315
-    ("tiny")."""
-    if kind == "tiny":
-        # the skewed bundle scaled into the subnormal range, where the
-        # column and row sums of a difference round in absolute terms
-        doc = _edit(doc, graph, "skew")
-        for rows in doc["operators"].values():
-            for row in rows:
-                row[2] = str(Fraction(row[2]) / 10**315)
-    elif kind == "half":
-        doc = tamper(doc, graph, "scaled")
-        row = next(r for rows in doc["operators"].values() for r in rows if r[2] == "2")
-        row[2] = "1/2"
-    elif kind == "skew":
-        doc = json.loads(json.dumps(doc))
-        basis = [parse_path(graph, t) for t in doc["basis"]]
-        skew = [j for j, x in enumerate(basis) if x.degree != basis[0].degree][:2]
-        # row 0 of t_v, v = r(x_0), already holds its diagonal entry; with
-        # two more, a difference can have a norm above its largest entry
-        doc["operators"][graph.vertex_path(basis[0].range).token()] += [[0, j, "1"] for j in skew]
-    else:
-        doc = tamper(doc, graph, kind)
-    return doc
+@pytest.mark.parametrize("name", [*GRAPHS, *LARGER])
+def test_gauge_check_matches_dense_check(monkeypatch, name):
+    g, T = _representation(name)
+    zs = gauge_grid(g)
+    assert all(isinstance(mat, PartialInjection) for mat in T.ops.values())
+    for family in (T, T.to_complex()):
+        _same_as_dense(monkeypatch, family, zs)
 
 
 @pytest.mark.parametrize("name", ["omega21", "omega22", "b7.0+gen"])
-@pytest.mark.parametrize(
-    "kind", ["half", "two-to-one", "skew", "tiny", "off-diagonal", "zero-vertex", "dropped"]
-)
-def test_gauge_check_matches_every_svd_on_tampered_bundles(name, kind):
+@pytest.mark.parametrize("kind", DEFECTS)
+def test_gauge_check_matches_every_svd_on_tampered_bundles(monkeypatch, name, kind):
     g, T = _representation(name)
-    bad = _bundle_load(g, _edit(_bundle_of(T), g, kind))
+    bad = _bundle_load(g, defect(_bundle_of(T), g, kind))
     partial = all(isinstance(mat, PartialInjection) for mat in bad.ops.values())
     assert partial == (kind not in ("half", "two-to-one", "skew", "tiny"))
     zs = gauge_grid(g)
     for family in (bad, bad.to_complex()):
-        got = gauge_unitary_check(family, zs)
+        got = _same_as_dense(monkeypatch, family, zs)
         assert got == oracles.every_svd_gauge_unitary_check(family, zs)
     if kind == "skew":
         assert got > 0.1
@@ -121,7 +123,7 @@ def test_gauge_check_matches_every_svd_on_tampered_bundles(name, kind):
         assert 0 < got < 1e-300
 
 
-def test_gauge_check_on_zero_differences(omega11):
+def test_gauge_check_on_zero_differences(monkeypatch, omega11):
     # at the identity every difference is exactly zero, and so is every
     # difference on a zero-dimensional space
     T = boundary_rep(omega11, satiate(FamilyCollection(omega11)))
@@ -129,4 +131,35 @@ def test_gauge_check_on_zero_differences(omega11):
     ops = {lam: SparseMatrix.zero(0) for lam in omega11.all_paths()}
     empty = CKFamily(omega11, 0, ops, basis=())
     zs = gauge_grid(omega11)
-    assert gauge_unitary_check(empty, zs) == oracles.every_svd_gauge_unitary_check(empty, zs) == 0.0
+    assert _same_as_dense(monkeypatch, empty, zs) == 0.0
+    assert oracles.every_svd_gauge_unitary_check(empty, zs) == 0.0
+
+
+def _twisted(T: CKFamily, z) -> CKFamily:
+    """The family z^{d(lam)} t_lam: a Cuntz-Krieger family again, with
+    complex entries."""
+    ops = {
+        lam: SparseMatrix(
+            mat.rows,
+            mat.cols,
+            {k: _z_power(z, lam.degree) * complex(v) for k, v in mat.data.items()},
+        )
+        for lam, mat in T.ops.items()
+    }
+    return CKFamily(T.graph, T.dim, ops, basis=T.basis)
+
+
+@pytest.mark.parametrize("name", list(GRAPHS))
+def test_sampled_average_matches_product_loop(name):
+    # rows scaled where eval(a) is real, the product otherwise; equal
+    # entries (np.array_equal: bit for bit up to the sign of a zero)
+    g, T = _representation(name)
+    zs = gauge_grid(g)
+    twisted = _twisted(T, [cmath.exp(1j * (c + 1)) for c in range(g.rank)])
+    rng = random.Random(name)
+    for family, real in ((T, True), (T.to_complex(), True), (twisted, False)):
+        drawn = [_random_element(rng, g.all_paths(), 4, 2) for _ in range(4)]
+        for a in drawn:
+            got = sampled_gauge_average(family, a, zs)
+            assert np.array_equal(got, oracles.loop_sampled_gauge_average(family, a, zs))
+        assert any(evaluate(a, family).to_dense().imag.any() for a in drawn) != real

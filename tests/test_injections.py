@@ -23,6 +23,7 @@ from kgraphck import repn
 from kgraphck.boundary import omega
 from kgraphck.cli import _bundle_load, _bundle_of, main
 from kgraphck.degree import Degree
+from kgraphck.graphio import parse_path
 from kgraphck.alignment import has_prefix_in, pi_closure
 from kgraphck.matrices import PartialInjection, SparseMatrix, narrow
 from kgraphck.repn import (
@@ -82,6 +83,40 @@ def tamper(doc: dict, graph, kind: str) -> dict:
     return doc
 
 
+# the defects of ``defect``: "half", "two-to-one", "skew" and "tiny" are no
+# longer partial injections, the other three are
+DEFECTS = ("half", "two-to-one", "skew", "tiny", "off-diagonal", "zero-vertex", "dropped")
+
+
+def defect(doc, graph, kind):
+    """A copy of a bundle with one defect: a kind of ``tamper``, an edge
+    entry 1/2 ("half"; no longer a partial injection), or a vertex entry
+    joining basis paths of different degrees ("skew"; no longer gauge
+    invariant, nor a partial injection), or that one scaled by 1e-315
+    ("tiny")."""
+    if kind == "tiny":
+        # the skewed bundle scaled into the subnormal range, where the
+        # column and row sums of a difference round in absolute terms
+        doc = defect(doc, graph, "skew")
+        for rows in doc["operators"].values():
+            for row in rows:
+                row[2] = str(Fraction(row[2]) / 10**315)
+    elif kind == "half":
+        doc = tamper(doc, graph, "scaled")
+        row = next(r for rows in doc["operators"].values() for r in rows if r[2] == "2")
+        row[2] = "1/2"
+    elif kind == "skew":
+        doc = json.loads(json.dumps(doc))
+        basis = [parse_path(graph, t) for t in doc["basis"]]
+        skew = [j for j, x in enumerate(basis) if x.degree != basis[0].degree][:2]
+        # row 0 of t_v, v = r(x_0), already holds its diagonal entry; with
+        # two more, a difference can have a norm above its largest entry
+        doc["operators"][graph.vertex_path(basis[0].range).token()] += [[0, j, "1"] for j in skew]
+    else:
+        doc = tamper(doc, graph, kind)
+    return doc
+
+
 def _partial(T) -> bool:
     return all(isinstance(mat, PartialInjection) for mat in T.ops.values())
 
@@ -92,7 +127,7 @@ def assert_same_as_matrices(T, S, rng: random.Random) -> None:
     g = T.graph
     assert T.relation_checks() == R.relation_checks()
     # TCK3 over every pair, not only those with a common range
-    assert repn._tck3(R, g.all_paths(), common_range=False) == T.relation_checks()[2]
+    assert oracles.every_pair_tck3(R) == T.relation_checks()[2]
     assert verify_family(T, S).results == verify_family(R, S).results
     universe = S.universe_all()
     for F in rng.sample(universe, min(len(universe), 100)):
@@ -149,6 +184,19 @@ def test_map_path_matches_matrices(name):
         assert_same_as_matrices(U, small, rng)
     if name not in LARGE:
         assert_same_as_matrices(T.to_complex(), small, rng)
+
+
+@pytest.mark.parametrize("name", ["omega21", "b7.0"])
+@pytest.mark.parametrize("kind", DEFECTS)
+def test_tck3_matches_every_pair(name, kind):
+    # exact families take each unordered pair once; the deviation and the
+    # first pair reaching it must be those of every ordered pair
+    g = GRAPHS[name]()
+    T = boundary_rep(g, satiate(FamilyCollection(g)))
+    bad = _bundle_load(g, defect(_bundle_of(T), g, kind))
+    assert bad.is_rational() and not all(r.ok for r in bad.relation_checks())
+    for family in (T, T.to_complex(), bad, bad.to_complex()):
+        assert family.relation_checks()[2] == oracles.every_pair_tck3(family)
 
 
 def test_detection(omega21):
