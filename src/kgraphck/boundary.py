@@ -323,11 +323,10 @@ def condition_c(S: FamilyCollection) -> ConditionCReport:
     universe family F outside the collection an aperiodic boundary path
     avoiding every initial segment from F (the first such path is the
     witness); failures list the (vertex, family) pairs with no witness.
-    Each aperiodic path's initial segments are listed once, so a family
-    escapes a path when it is disjoint from that set.
+    Each aperiodic path's initial segments are read from the collection's
+    path facts, so a family escapes a path when it is disjoint from that set.
     """
     g = S.graph
-    zero = Degree.zero(g.rank)
     vertex_witnesses: dict[str, Path] = {}
     avoidance_witnesses: dict[tuple[str, PathFamily], Path] = {}
     failures: list[tuple[str, PathFamily | None]] = []
@@ -337,9 +336,7 @@ def condition_c(S: FamilyCollection) -> ConditionCReport:
             vertex_witnesses[v] = aperiodic[0]
         else:
             failures.append((v, None))
-        prefixes = [
-            (x, frozenset(segment(x, zero, n) for n in x.degree.below())) for x in aperiodic
-        ]
+        prefixes = [(x, S.facts.prefixes(x)) for x in aperiodic]
         for F in S.outside(v):
             witness = next((x for x, pre in prefixes if F.members.isdisjoint(pre)), None)
             if witness is not None:

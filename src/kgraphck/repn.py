@@ -84,6 +84,7 @@ class CKFamily:
         self._gap_products: dict[str, dict] = {}  # see gap_product
         self._relations: tuple[CheckResult, ...] | None = None
         self._kept: dict = {}  # fact -> (collection, value), see kept
+        self._gauge: dict = {}  # grid point -> diagonal of U_z, see gauge_unitary
 
     def relation_checks(self) -> tuple[CheckResult, ...]:
         """TCK1-TCK3 for this family, checked on first use and then kept
@@ -641,12 +642,17 @@ def _z_powers(z: Sequence[complex], paths: Iterable[Path]) -> dict[tuple[int, ..
 
 
 def gauge_unitary(T: CKFamily, z: Sequence[complex]) -> np.ndarray:
+    """U_z = diag(z^{d(x)}) over the basis; the family keeps each grid
+    point's diagonal, not the matrix."""
     import numpy as np
 
     if T.basis is None:
         raise PreconditionFailed("gauge checks need a basis-labeled family")
-    powers = _z_powers(z, T.basis)
-    return np.diag([powers[x.degree.coords] for x in T.basis])
+    diagonal = T._gauge.get(tuple(z))
+    if diagonal is None:
+        powers = _z_powers(z, T.basis)
+        diagonal = T._gauge[tuple(z)] = np.array([powers[x.degree.coords] for x in T.basis])
+    return np.diag(diagonal)
 
 
 def gauge_unitary_check(T: CKFamily, zs: Iterable[Sequence[complex]]) -> float:

@@ -15,7 +15,9 @@ semi-naively: sigma1-sigma3 map each family on its own, so each round
 applies them only to the families that are new since the previous round,
 while sigma4, whose pools come from the whole collection, makes a full
 pass.  Truncations are built once per member prefix and yielded once per
-distinct family.
+distinct family.  S2, S3 and condition (C) read initial segments and
+single-member extension sets from one :class:`PathFacts`, filled on first use
+and shared by every collection derived from the one that made it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     UniverseTooLarge,
 )
 from .kgraph import KGraph, Path, compose, segment
-from .alignment import PathFamily, ext_family, has_prefix_in
+from .alignment import PathFamily, ext
 from .exhaustive import fe_enumerate, is_exhaustive
 
 
@@ -46,13 +48,46 @@ class Membership(Enum):
     UNKNOWN = "unknown"
 
 
+class PathFacts:
+    """Facts about paths, each computed on first use and then kept: a path's
+    initial segments p(0, n), n <= d(p), and Ext(mu; {nu}) for a pair."""
+
+    def __init__(self):
+        self._segments: dict[Path, tuple[tuple[Path, ...], frozenset]] = {}
+        self._exts: dict[tuple[Path, Path], tuple[Path, ...]] = {}
+
+    def _cut(self, p: Path) -> tuple[tuple[Path, ...], frozenset]:
+        hit = self._segments.get(p)
+        if hit is None:
+            zero = Degree.zero(p.graph.rank)
+            cuts = tuple(segment(p, zero, n) for n in p.degree.below())  # p(0, 0) first
+            hit = self._segments[p] = (cuts[1:], frozenset(cuts))
+        return hit
+
+    def truncations(self, p: Path) -> tuple[Path, ...]:
+        """p(0, n) for 0 < n <= d(p), in ``Degree.below()`` order."""
+        return self._cut(p)[0]
+
+    def prefixes(self, p: Path) -> frozenset:
+        """The set of p(0, n) for n <= d(p), the vertex r(p) included."""
+        return self._cut(p)[1]
+
+    def ext(self, mu: Path, nu: Path) -> tuple[Path, ...]:
+        """Ext(mu; {nu})."""
+        hit = self._exts.get((mu, nu))
+        if hit is None:
+            hit = self._exts[(mu, nu)] = ext(mu, (nu,))
+        return hit
+
+
 class FamilyCollection:
     """A set of verified finite exhaustive families over a finite universe.
 
     The universe is the per-vertex window vLambda^{<=depth} minus the vertex,
     optionally capped in family size.  ``exact`` means the universe equals
     the full finite-exhaustive universe: acyclic graph, depth at least the
-    maximum path degree, no size cap.
+    maximum path degree, no size cap.  ``facts`` is shared with every
+    collection derived by :meth:`with_members`.
     """
 
     def __init__(
@@ -77,6 +112,7 @@ class FamilyCollection:
         self._universe: dict[str, tuple[PathFamily, ...]] = {}
         self._universe_sets: dict[str, frozenset] = {}
         self._views: dict = {}  # derived from the members, built on first use
+        self.facts = PathFacts()
         members = tuple(members)
         for fam in members:  # in the order given, so an error names the same family every run
             self._validate_member(fam)
@@ -284,26 +320,22 @@ def _require_truncation_budget(fam: PathFamily, budget: int) -> None:
         )
 
 
-def _truncations(fam: PathFamily, budget: int | None = None):
+def _truncations(fam: PathFamily, budget: int | None = None, facts: PathFacts | None = None):
     """The distinct families {lam(0, n_lam)} over choices 0 < n_lam <= d(lam).
 
-    Each prefix lam(0, n) is cut once (prefixes of one member differ in
-    degree, so they are distinct) and numbered; the product runs over the
-    numbers, and each distinct family is yielded once, in the order of its
-    first choice vector.  The budget counts choice vectors and is checked
-    before any prefix is cut.
+    Each prefix lam(0, n) is read from ``facts`` (a fresh table if none) and
+    numbered; the product runs over the numbers, and each distinct family is
+    yielded once, in the order of its first choice vector.  The budget
+    counts choice vectors and is checked before any prefix is read.
     """
     if budget is not None:
         _require_truncation_budget(fam, budget)
-    members = fam.sorted_members()
-    per_member = [
-        [n for n in p.degree.below() if not n.is_zero()] for p in members
-    ]
-    zero = Degree.zero(fam.graph.rank)
+    if facts is None:
+        facts = PathFacts()
     index: dict[Path, int] = {}
     options = [
-        [index.setdefault(segment(p, zero, n), len(index)) for n in opts]
-        for p, opts in zip(members, per_member)
+        [index.setdefault(q, len(index)) for q in facts.truncations(p)]
+        for p in fam.sorted_members()
     ]
     prefixes = list(index)
     seen: set[frozenset] = set()
@@ -347,14 +379,18 @@ def _superset_images(collection: FamilyCollection, fam: PathFamily):
 
 
 def _extension_images(collection: FamilyCollection, fam: PathFamily):
-    """S2: Ext(mu; fam) for each mu in r(fam).Lambda \\ fam.Lambda in the window."""
-    mus = collection.window_paths(fam.vertex)
-    return ((mu, ext_family(mu, fam)) for mu in mus if not has_prefix_in(mu, fam.members))
+    """S2: Ext(mu; fam) for each mu in r(fam).Lambda \\ fam.Lambda in the window,
+    as the union of the Ext(mu; {nu}) over the members nu."""
+    facts = collection.facts
+    for mu in collection.window_paths(fam.vertex):
+        if fam.members.isdisjoint(facts.prefixes(mu)):  # no member is a prefix of mu
+            tails = (alpha for nu in fam.members for alpha in facts.ext(mu, nu))
+            yield mu, PathFamily(fam.graph, mu.source, tails)
 
 
 def _truncation_images(collection: FamilyCollection, fam: PathFamily):
     """S3: the truncations of fam, within the collection's budget."""
-    return ((None, F) for F in _truncations(fam, budget=collection.budget))
+    return ((None, F) for F in _truncations(fam, collection.budget, collection.facts))
 
 
 def _grafting_images(collection: FamilyCollection, fam: PathFamily):

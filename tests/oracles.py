@@ -56,12 +56,11 @@ from kgraphck.satiation import (
     Membership,
     Violation,
     _graftings,
-    _truncations,
+    _require_truncation_budget,
+    _with_images,
     is_satiated,
     member,
     sigma1,
-    sigma2,
-    sigma3,
     sigma4,
 )
 
@@ -365,7 +364,7 @@ def four_loop_is_satiated(collection: FamilyCollection) -> tuple[bool, list[Viol
                 )
 
     for fam in collection.sorted_members():
-        for target in _truncations(fam, budget=collection.budget):
+        for target in segment_truncations(fam, budget=collection.budget):
             if target not in members and collection.in_window(target):
                 violations.append(
                     Violation("S3", f"truncation {target!r} of {fam!r} missing")
@@ -379,6 +378,41 @@ def four_loop_is_satiated(collection: FamilyCollection) -> tuple[bool, list[Viol
                 )
 
     return (not violations, violations)
+
+
+def segment_truncations(fam: PathFamily, budget: int | None = None):
+    """``satiation._truncations`` with each prefix cut by ``segment``, apart
+    from the path facts: the same families in the same order."""
+    if budget is not None:
+        _require_truncation_budget(fam, budget)
+    members = fam.sorted_members()
+    per_member = [
+        [n for n in p.degree.below() if not n.is_zero()] for p in members
+    ]
+    zero = Degree.zero(fam.graph.rank)
+    index: dict[Path, int] = {}
+    options = [
+        [index.setdefault(segment(p, zero, n), len(index)) for n in opts]
+        for p, opts in zip(members, per_member)
+    ]
+    prefixes = list(index)
+    seen: set[frozenset] = set()
+    for choice in itertools.product(*options):
+        cut = frozenset(choice)
+        if cut not in seen:
+            seen.add(cut)
+            yield PathFamily(fam.graph, fam.vertex, [prefixes[i] for i in cut])
+
+
+def segment_extension_images(collection: FamilyCollection, fam: PathFamily):
+    """``satiation._extension_images`` by ``has_prefix_in`` and ``ext_family``."""
+    mus = collection.window_paths(fam.vertex)
+    return ((mu, ext_family(mu, fam)) for mu in mus if not has_prefix_in(mu, fam.members))
+
+
+def segment_truncation_images(collection: FamilyCollection, fam: PathFamily):
+    """``satiation._truncation_images`` by :func:`segment_truncations`."""
+    return ((None, F) for F in segment_truncations(fam, budget=collection.budget))
 
 
 def _truncation_choices(fam: PathFamily, budget: int | None = None):
@@ -407,10 +441,14 @@ def _truncate(fam: PathFamily, choice) -> PathFamily:
 def naive_satiate(
     collection: FamilyCollection, max_rounds: int = 1_000
 ) -> FamilyCollection:
-    """The satiation fixpoint with every map applied to every member each round."""
+    """The satiation fixpoint with every map applied to every member each
+    round, S2 and S3 by the ``segment`` images above."""
     current = collection
     for _ in range(max_rounds):
-        stepped = sigma4(sigma3(sigma2(sigma1(current))))
+        stepped = sigma1(current)
+        stepped = _with_images(stepped, stepped.sorted_members(), segment_extension_images)
+        stepped = _with_images(stepped, stepped.sorted_members(), segment_truncation_images)
+        stepped = sigma4(stepped)
         if stepped.members == current.members:
             return current
         current = stepped

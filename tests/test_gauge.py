@@ -163,3 +163,45 @@ def test_sampled_average_matches_product_loop(name):
             got = sampled_gauge_average(family, a, zs)
             assert np.array_equal(got, oracles.loop_sampled_gauge_average(family, a, zs))
         assert any(evaluate(a, family).to_dense().imag.any() for a in drawn) != real
+
+
+def _rebuilt_unitary(T: CKFamily, z) -> np.ndarray:
+    """U_z rebuilt from z at every call, with nothing kept on the family."""
+    powers = {n: _z_power(z, n) for n in {x.degree.coords for x in T.basis}}
+    return np.diag([powers[x.degree.coords] for x in T.basis])
+
+
+@pytest.mark.parametrize("name", ["omega21", "omega111+gen", "b7.0+gen"])
+def test_gauge_unitaries_built_once_per_grid_point(monkeypatch, name):
+    # a verify's check and five averages read one kept diagonal per grid
+    # point, and give the float and the entries of a U_z rebuilt at every
+    # call, on exact, float and complex-entry families
+    import kgraphck.repn as repn
+
+    g, T = _representation(name)
+    zs = gauge_grid(g)
+    twisted = _twisted(T, [cmath.exp(1j * (c + 1)) for c in range(g.rank)])
+    rng = random.Random(name)
+    drawn = [_random_element(rng, g.all_paths(), 4, 2) for _ in range(5)]
+    z_powers = repn._z_powers
+    for family in (T, T.to_complex(), twisted):
+        with monkeypatch.context() as m:
+            m.setattr(repn, "gauge_unitary", _rebuilt_unitary)
+            want_check = gauge_unitary_check(family, zs)
+            want = [sampled_gauge_average(family, a, zs) for a in drawn]
+        built = []
+
+        def counting(z, paths, family=family):
+            if paths is family.basis:
+                built.append(tuple(z))
+            return z_powers(z, paths)
+
+        with monkeypatch.context() as m:
+            m.setattr(repn, "_z_powers", counting)
+            assert gauge_unitary_check(family, zs) == want_check
+            for a, avg in zip(drawn, want):
+                assert np.array_equal(sampled_gauge_average(family, a, zs), avg)
+        assert len(built) == len(zs) and set(built) == {tuple(z) for z in zs}
+        for z in zs:
+            U = repn.gauge_unitary(family, z)
+            assert U.dtype == complex and np.array_equal(U, _rebuilt_unitary(family, z))
