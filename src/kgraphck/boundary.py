@@ -316,7 +316,7 @@ class ConditionCReport:
     failures: tuple[tuple[str, PathFamily | None], ...]
 
 
-def condition_c(S: FamilyCollection) -> ConditionCReport:
+def condition_c(S: FamilyCollection, maximal: bool = False) -> ConditionCReport:
     """Search for aperiodic boundary witnesses at every vertex.
 
     For each vertex an aperiodic boundary path must exist, and for each
@@ -325,6 +325,12 @@ def condition_c(S: FamilyCollection) -> ConditionCReport:
     witness); failures list the (vertex, family) pairs with no witness.
     Each aperiodic path's initial segments are read from the collection's
     path facts, so a family escapes a path when it is disjoint from that set.
+
+    With ``maximal`` only the maximal families outside S are searched
+    (:meth:`~kgraphck.satiation.FamilyCollection.maximal_outside`), and
+    ``ok`` is unchanged: a witness for F serves every subfamily of F, and
+    on an exact universe, which boundary listing requires, every family
+    outside S lies below a maximal one.
     """
     g = S.graph
     vertex_witnesses: dict[str, Path] = {}
@@ -337,7 +343,7 @@ def condition_c(S: FamilyCollection) -> ConditionCReport:
         else:
             failures.append((v, None))
         prefixes = [(x, S.facts.prefixes(x)) for x in aperiodic]
-        for F in S.outside(v):
+        for F in S.maximal_outside(v) if maximal else S.outside(v):
             witness = next((x for x, pre in prefixes if F.members.isdisjoint(pre)), None)
             if witness is not None:
                 avoidance_witnesses[(v, F)] = witness

@@ -102,28 +102,32 @@ def _subset_count(n: int, max_size: int) -> int:
     return sum(math.comb(n, s) for s in range(1, min(n, max_size) + 1))
 
 
-def _hit_masks(graph: KGraph, v: str, depth: Degree, max_size: int, budget: int):
-    """The candidate paths at v and the distinct bitmasks of the candidates
-    meeting each obstruction, or None for the bitmasks where the obstructions
-    cannot prove exhaustiveness.
+def _candidates(graph: KGraph, v: str, depth: Degree) -> list[Path]:
+    """The non-vertex window paths at v, canonically ordered."""
+    return [p for p in graph.paths_up_to(v, depth) if not p.is_vertex()]
 
-    Raises BudgetExceeded when the subsets of at most ``max_size`` candidates
-    outnumber ``budget``.
-    """
-    candidates = [p for p in graph.paths_up_to(v, depth) if not p.is_vertex()]
+
+def _require_subset_budget(candidates: list[Path], max_size: int, budget: int) -> None:
+    """Raise BudgetExceeded when the subsets of at most ``max_size``
+    candidates, which a listing visits, outnumber ``budget``."""
     if _subset_count(len(candidates), max_size) > budget:
         raise BudgetExceeded(
             f"{len(candidates)} candidate paths exceed the subset budget {budget}"
         )
+
+
+def _hit_masks(graph: KGraph, v: str, depth: Degree, candidates: list[Path]):
+    """The distinct bitmasks of the candidates meeting each obstruction, or
+    None where the obstructions cannot prove exhaustiveness; a family of
+    candidates is exhaustive when its mask meets every one."""
     # the window bounds every member degree, so it serves as the prefix degree
     paths, meets, proves = _obstructions(graph, v, depth, depth)
     if not proves:
-        return candidates, None
-    masks = {
+        return None
+    return {
         sum(1 << i for i, mu in enumerate(candidates) if meets(lam, (mu,)))
         for lam in paths
     }
-    return candidates, masks
 
 
 def fe_enumerate(
@@ -141,7 +145,9 @@ def fe_enumerate(
     bitmask of candidates meeting it; where the obstructions cannot prove
     exhaustiveness nothing is kept.  Output is canonically sorted.
     """
-    candidates, masks = _hit_masks(graph, v, depth, max_size, budget)
+    candidates = _candidates(graph, v, depth)
+    _require_subset_budget(candidates, max_size, budget)
+    masks = _hit_masks(graph, v, depth, candidates)
     if masks is None:
         return ()
     out = []
@@ -171,7 +177,9 @@ def minimal_exhaustive(
     some mask, since no superset can be minimal.  ``budget`` still counts
     the candidate subsets, as in ``fe_enumerate``.
     """
-    candidates, masks = _hit_masks(graph, v, depth, max_size, budget)
+    candidates = _candidates(graph, v, depth)
+    _require_subset_budget(candidates, max_size, budget)
+    masks = _hit_masks(graph, v, depth, candidates)
     if masks is None or 0 in masks:
         return ()
     # fewest hitters first keeps the branching narrow

@@ -27,7 +27,10 @@ The family keeps its gap products, each extending the product over its
 sorted members but the last (:func:`gap_product`).  The faithfulness check
 examines each distinct grid once.  Every grid computation (pairs, tails,
 the row test and theta) runs on the grid queries of
-:class:`~kgraphck.alignment.PathIndex`.
+:class:`~kgraphck.alignment.PathIndex`.  At a vertex where S has no member
+no check lists the universe: the one maximal family outside S is read off
+the hit masks, and the grids are enumerated as closed sets; the universe is
+listed at vertices with members, or to name a failure.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .kgraph import KGraph, Path, compose, path_sort_key
-from .alignment import PathFamily, PathIndex, ext, lambda_min
+from .alignment import PathFamily, PathIndex, _bits, ext, lambda_min
 from .satiation import FamilyCollection, Membership, member
 from .boundary import boundary_paths, condition_c
 from .formal import FormalElement, formal_mul, gauge_expectation
@@ -430,10 +433,11 @@ def _nonzero_tails(
     S: FamilyCollection, index: PathIndex, i: int, tails: int
 ) -> tuple[Path, ...] | None:
     """The tails nu of lam.nu in the mask, lam path i, when their family is
-    not in S, so that row lam's matrix units are universally nonzero; else None."""
+    not in S, so that row lam's matrix units are universally nonzero; else
+    None.  Without members at s(lam) no family is tested."""
     lam = index.paths[i]
     nus = index.tail_paths(i, tails)
-    if member(PathFamily(lam.graph, lam.source, nus), S) is Membership.YES:
+    if S.at(lam.source) and member(PathFamily(lam.graph, lam.source, nus), S) is Membership.YES:
         return None
     return nus
 
@@ -480,13 +484,16 @@ def gap_vanishing(T: CKFamily, S: FamilyCollection) -> GapVanishing:
     product vanishes.  When TCK1-TCK3 hold the gap product of F is a
     projection antitone in F, so on an exact universe with rational entries
     no family outside S vanishes if no maximal one does (every family
-    outside S lies below one); otherwise, or if one does, each is checked."""
+    outside S lies below one, and at a vertex without members it is read
+    without listing the universe); otherwise, or if one does, each is
+    checked."""
     vertices = S.graph.vertices
-    outside = [F for v in vertices for F in S.outside(v)]  # an oversized universe fails here
     members_vanish = T.kept(S, member_gaps)[0] == 0.0
     if S.exact and T.is_rational() and all(r.ok for r in T.relation_checks()):
         if not any(_vanishes(T, F) for v in vertices for F in S.maximal_outside(v)):
             return GapVanishing(members_vanish, ())
+    # only here is every vertex's universe listed, and an oversized one fails
+    outside = [F for v in vertices for F in S.outside(v)]
     return GapVanishing(members_vanish, tuple(F for F in outside if _vanishes(T, F)))
 
 
@@ -516,59 +523,106 @@ def _route_b(T: CKFamily, gaps: GapVanishing) -> list[str]:
     return out
 
 
+def _walk_grids(S: FamilyCollection, index: PathIndex, v: str):
+    """The grid of each family outside S at v, in universe order: the closure
+    of the family and v, each extending the grid of the family minus its
+    last member (each extension of a grid by a path computed once)."""
+    closures: dict[tuple[int, int], int] = {}
+    for F in S.outside(v):
+        grid = 0
+        for p in (S.graph.vertex_path(v),) + F.sorted_members():
+            key = (grid, index.bit(p))
+            if key not in closures:
+                closures[key] = index.close(grid, (p,))
+            grid = closures[key]
+        yield grid
+
+
+def _closed_grids(S: FamilyCollection, index: PathIndex, v: str):
+    """The same grids, without the universe, where the exact S has no member
+    at v: the closed sets holding v whose other paths are exhaustive (each is
+    the grid of those paths, and a superset of an exhaustive family is one).
+
+    Close-by-One (Ganter's NextClosure, depth first) over the candidates in
+    window order: a closed set's children close it with one later candidate,
+    kept when they add no earlier one, so each closed set is reached once."""
+    candidates, masks = S.hit_masks(v)
+    bits = [index.bit(p) for p in candidates]
+    hits = [sum(1 << bits[j] for j in _bits(m)) for m in masks]
+    earlier = [sum(1 << b for b in bits[:i]) for i in range(len(bits))]
+    stack = [(index.close(0, (S.graph.vertex_path(v),)), 0)]
+    while stack:
+        closed, start = stack.pop()
+        if all(closed & h for h in hits):
+            yield closed
+        for i in range(start, len(bits)):
+            if not closed >> bits[i] & 1:
+                child = index.close(closed, (candidates[i],))
+                if child & earlier[i] == closed & earlier[i]:
+                    stack.append((child, i + 1))
+
+
+def _route_a(T: CKFamily, S: FamilyCollection, fast: bool) -> list[str]:
+    """Each universally nonzero matrix unit vanishing in T, named with the
+    size of the first grid holding it, in order of that grid's first use
+    and then of lam and mu.  With ``fast`` the vertices without members take
+    :func:`_closed_grids`, whose order is not the universe's.
+
+    A unit depends only on lam, mu and lam's tails mask in the grid, so each
+    (lam, tails) row, its membership test and t_lam times its gap product
+    are computed once, and each unit is checked once.
+    """
+    g = S.graph
+    index = PathIndex()
+    # every vertex is listed before the exactness test, so a listing past
+    # the budget fails first
+    if not fast and any([S.outside(v) for v in g.vertices]):
+        S.require_exact("the vanishing pattern")
+    grids: dict[int, None] = {}  # distinct grids, in order of first use
+    for v in g.vertices:
+        walk = not fast or S.at(v)
+        grids.update(dict.fromkeys(_walk_grids(S, index, v) if walk else _closed_grids(S, index, v)))
+    paths, matched = index.paths, index.matched
+    rows: dict[tuple[int, int], SparseMatrix | PartialInjection | None] = {}
+    read: dict[tuple[int, int], int] = {}  # (lam, tails) -> mask of the mus checked
+    vanished = []
+    for k, grid in enumerate(grids):
+        for i in _bits(grid):
+            lam = paths[i]
+            key = (i, index.tails(i, grid))
+            mus = grid & matched[(lam.degree, lam.source)] & ~read.get(key, 0)
+            if not mus:
+                continue
+            read[key] = read.get(key, 0) | mus
+            if key not in rows:
+                nus = _nonzero_tails(S, index, i, key[1])
+                rows[key] = None if nus is None else _row_unit(T, lam, nus)
+            if rows[key] is None:
+                continue
+            for j in _bits(mus):
+                mu = paths[j]
+                if (rows[key] @ T.op(mu).adjoint()).is_zero():
+                    text = f"theta({lam.token()},{mu.token()}) vanished in grid of size {grid.bit_count()}"
+                    vanished.append((k, lam.sort_key(), mu.sort_key(), text))
+    return [text for *_, text in sorted(vanished)]
+
+
 def faithful_on_core_check(T: CKFamily, S: FamilyCollection) -> FaithfulnessVerdict:
     """Two routes to injectivity on the degree-fixed subalgebra.
 
     Route (a): every universally nonzero matrix unit is nonzero in T, over
     the grid of one window per family outside S (the family plus its range
     vertex), which makes route (a) complete whenever route (b) fails;
-    disagreement therefore indicates a library bug.  A matrix unit depends
-    only on its indices and the tails of its row index in the grid, so each
-    distinct grid is examined once and each distinct unit checked once,
-    reported with the size of the first grid it appears in.  Grids are
-    bitmasks over one :class:`PathIndex`, whose closures share their memos;
-    each grid extends the grid of its window minus the last member, and each
-    extension of a grid by a path is computed once.  The tail family's
-    membership in S, and t_lam times its gap product, are computed once per
-    lam and :meth:`~kgraphck.alignment.PathIndex.tails` mask.  Route (b):
-    every vertex operator is nonzero and every gap product over a universe
-    family outside S is nonzero (see :func:`gap_vanishing`).
+    disagreement therefore indicates a library bug.  Each distinct grid is
+    examined once (:func:`_route_a`).  On an exact universe the vertices
+    without members read no universe (:func:`_closed_grids`), and a vanished
+    unit reruns the walk over the universe to name its first grid.  Route
+    (b): every vertex operator is nonzero and every gap product over a
+    universe family outside S is nonzero (see :func:`gap_vanishing`).
     """
-    g = T.graph
-    index = PathIndex()
-    closures: dict[tuple[int, int], int] = {}  # (grid, path) -> closure of both
-    grids: dict[int, None] = {}  # distinct grids, in order of first use
-    outside = [F for v in g.vertices for F in S.outside(v)]
-    if outside:
-        S.require_exact("the vanishing pattern")
-    for F in outside:
-        grid = 0
-        for p in (g.vertex_path(F.vertex),) + F.sorted_members():
-            key = (grid, index.bit(p))
-            if key not in closures:
-                closures[key] = index.close(grid, (p,))
-            grid = closures[key]
-        grids.setdefault(grid)
-    # t_lam times the gap product over the tails, for each (row index, tails
-    # mask) whose tail family is not in S (None for the others), and each
-    # universally nonzero matrix unit with the size of its first grid
-    paths = index.paths
-    rows: dict[tuple[int, int], SparseMatrix | PartialInjection | None] = {}
-    first_grid: dict[tuple[int, int, int], int] = {}  # (lam, mu, tails) -> grid size
-    for grid in grids:
-        for lam, mus in index.pairs(grid):
-            tails = index.tails(lam, grid)
-            if (lam, tails) not in rows:
-                nus = _nonzero_tails(S, index, lam, tails)
-                rows[(lam, tails)] = None if nus is None else _row_unit(T, paths[lam], nus)
-            if rows[(lam, tails)] is not None:
-                for mu in mus:
-                    first_grid.setdefault((lam, mu, tails), grid.bit_count())
-    a_viol = []
-    for (i, j, tails), size in first_grid.items():
-        lam, mu = paths[i], paths[j]
-        if (rows[(i, tails)] @ T.op(mu).adjoint()).is_zero():
-            a_viol.append(f"theta({lam.token()},{mu.token()}) vanished in grid of size {size}")
+    a_viol = _route_a(T, S, S.exact)
+    if a_viol and S.exact:
+        a_viol = _route_a(T, S, False)
     b_viol = _route_b(T, T.kept(S, gap_vanishing))
     return FaithfulnessVerdict(not a_viol, not b_viol, a_viol, b_viol)
 
@@ -605,7 +659,9 @@ class UniquenessHypotheses:
 def check_uniqueness_hypotheses(T: CKFamily, S: FamilyCollection) -> UniquenessHypotheses:
     """Verified relations, route (b) of the faithfulness check, and condition (C)."""
     return UniquenessHypotheses(
-        verify_family(T, S).ok, not _route_b(T, T.kept(S, gap_vanishing)), condition_c(S).ok
+        verify_family(T, S).ok,
+        not _route_b(T, T.kept(S, gap_vanishing)),
+        condition_c(S, maximal=True).ok,
     )
 
 

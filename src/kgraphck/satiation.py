@@ -39,7 +39,7 @@ from .errors import (
 )
 from .kgraph import KGraph, Path, compose, segment
 from .alignment import PathFamily, ext
-from .exhaustive import fe_enumerate, is_exhaustive
+from .exhaustive import _candidates, _hit_masks, fe_enumerate, is_exhaustive
 
 
 class Membership(Enum):
@@ -111,6 +111,7 @@ class FamilyCollection:
         )
         self._universe: dict[str, tuple[PathFamily, ...]] = {}
         self._universe_sets: dict[str, frozenset] = {}
+        self._hits: dict[str, tuple] = {}
         self._views: dict = {}  # derived from the members, built on first use
         self.facts = PathFacts()
         members = tuple(members)
@@ -148,6 +149,15 @@ class FamilyCollection:
     def universe_set(self, v: str) -> frozenset:
         self.universe(v)
         return self._universe_sets[v]
+
+    def hit_masks(self, v: str) -> tuple[list[Path], set[int] | None]:
+        """The non-vertex window paths at v, and the masks over them that a
+        universe family's mask meets (None if nothing is proved exhaustive);
+        kept with the universe, whatever its size."""
+        if v not in self._hits:
+            candidates = _candidates(self.graph, v, self.depth)
+            self._hits[v] = (candidates, _hit_masks(self.graph, v, self.depth, candidates))
+        return self._hits[v]
 
     def in_window(self, fam: PathFamily) -> bool:
         if self.max_family_size is not None and len(fam.members) > self.max_family_size:
@@ -214,9 +224,18 @@ class FamilyCollection:
     def maximal_outside(self, v: str) -> tuple[PathFamily, ...]:
         """The F in ``outside(v)`` with F u {p} a member for every non-vertex
         window path p not in F: on an exact universe, for a collection closed
-        under supersets (S1), the maximal families outside it."""
+        under supersets (S1), the maximal families outside it.  With no
+        member at v that is the family of every candidate, if it is in the
+        universe, read off :meth:`hit_masks` without listing the universe."""
 
         def build():
+            if not self.at(v):
+                candidates, masks = self.hit_masks(v)
+                cap = self.max_family_size
+                fits = candidates and (cap is None or len(candidates) <= cap)
+                if fits and masks is not None and 0 not in masks:
+                    return (PathFamily(self.graph, v, candidates),)
+                return ()
             inside = {E.members for E in self.at(v)}
             candidates = [p for p in self.window_paths(v) if not p.is_vertex()]
             return tuple(
@@ -347,8 +366,18 @@ def _truncations(fam: PathFamily, budget: int | None = None, facts: PathFacts | 
 
 
 def _graftings(collection: FamilyCollection, fam: PathFamily, budget: int | None = None):
-    """All (E \\ F) u U_{lam in F} lam.F_lam with F_lam drawn from members."""
+    """All (E \\ F) u U_{lam in F} lam.F_lam with F_lam drawn from members.
+
+    A member with some lam.q past the window grafts only families the closure
+    maps drop and ``is_satiated`` skips, so it leaves lam's pool before any
+    grafting is counted (on an exact universe none does)."""
     pools = {p: collection.at(p.source) for p in fam.sorted_members()}
+    if not collection.exact:
+        depth = collection.depth
+        pools = {
+            p: tuple(F for F in pool if all(p.degree + q.degree <= depth for q in F.members))
+            for p, pool in pools.items()
+        }
     graftable = [p for p, pool in pools.items() if pool]
     produced = 0
     for r in range(len(graftable) + 1):

@@ -13,6 +13,7 @@ fixtures only.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Iterable, Sequence
 
@@ -378,6 +379,37 @@ def four_loop_is_satiated(collection: FamilyCollection) -> tuple[bool, list[Viol
                 )
 
     return (not violations, violations)
+
+
+def windowless_graftings(collection: FamilyCollection, fam: PathFamily, budget: int | None = None):
+    """``satiation._graftings`` with every member in each pool, also those
+    grafting past the window: its in-window graftings in the same order."""
+    pools = {p: collection.at(p.source) for p in fam.sorted_members()}
+    graftable = [p for p, pool in pools.items() if pool]
+    produced = 0
+    for r in range(len(graftable) + 1):
+        for subset in itertools.combinations(graftable, r):
+            produced += math.prod(len(pools[p]) for p in subset)
+            if budget is not None and produced > budget:
+                raise UniverseTooLarge(f"grafting enumeration for {fam!r} exceeds the budget {budget}")
+            kept = fam.members.difference(subset)
+            for assignment in itertools.product(*(pools[p] for p in subset)):
+                grafted = set(kept)
+                for lam, sub in zip(subset, assignment):
+                    grafted.update(compose(lam, q) for q in sub.members)
+                yield PathFamily(fam.graph, fam.vertex, grafted)
+
+
+def filtered_maximal_outside(collection: FamilyCollection, v: str) -> list[PathFamily]:
+    """``maximal_outside`` by its definition over ``outside(v)``: the F with
+    F u {p} a member for every non-vertex window path p not in F."""
+    inside = {E.members for E in collection.at(v)}
+    candidates = [p for p in collection.window_paths(v) if not p.is_vertex()]
+    return [
+        F
+        for F in collection.outside(v)
+        if all(F.members | {p} in inside for p in candidates if p not in F.members)
+    ]
 
 
 def segment_truncations(fam: PathFamily, budget: int | None = None):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import kgraphck
+from kgraphck import exhaustive, satiation
 from kgraphck.cli import main
 from kgraphck.degree import Degree
 from kgraphck.boundary import omega
@@ -716,6 +717,25 @@ def test_universe_listing_budget_exits_3(files, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "budget exceeded: 5 candidate paths exceed the subset budget 3\n"
+
+
+def test_verify_without_members_lists_no_universe(tmp_path, capsys, monkeypatch):
+    # with no generators every check passes without the family universe: a
+    # listing that fails, or a budget any listing exceeds, changes no byte
+    path = tmp_path / "omega22.json"
+    path.write_text(emit_graph(omega(2, Degree(2, 2)).spec))
+    argv = ["verify", str(path), "--json", "--seed", "0"]
+    assert main(argv) == 0
+    want = capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family universe was listed")
+
+    monkeypatch.setattr(exhaustive, "fe_enumerate", refuse)
+    monkeypatch.setattr(satiation, "fe_enumerate", refuse)
+    for extra in ([], ["--budget", "3"]):
+        assert main(argv + extra) == 0
+        assert capsys.readouterr() == want
 
 
 def test_boundary_unknown_vertex_is_input_error(files, capsys):

@@ -14,7 +14,7 @@ from kgraphck.errors import (
     PairNotInGrid,
 )
 from kgraphck.kgraph import compose
-from kgraphck.alignment import family, pairs_ds, pi_closure
+from kgraphck.alignment import PathIndex, family, pairs_ds, pi_closure
 from kgraphck.satiation import (
     FamilyCollection,
     Membership,
@@ -22,7 +22,7 @@ from kgraphck.satiation import (
     member,
     satiate,
 )
-from kgraphck.boundary import boundary_paths, omega
+from kgraphck.boundary import boundary_paths, condition_c, omega
 from kgraphck.formal import FormalElement, gauge_expectation
 from kgraphck.matrices import PartialInjection, SparseMatrix
 from kgraphck.repn import (
@@ -635,6 +635,52 @@ def test_faithful_matches_per_window_oracle(request, monkeypatch, name):
         assert hyp.all_ok == all(oracles.separate_uniqueness_hypotheses(T, S))
         failing += not new.faithful
     assert failing >= 3
+
+
+@pytest.mark.parametrize("name", ["omega11", "omega21", *FAITHFUL_DIFFERENTIAL])
+def test_closed_grids_match_universe_walk(request, name):
+    # at each vertex without members, Close-by-One reaches each grid of the
+    # per-family walk once and no other set, on the satiated chain and on
+    # drawn generators that are not satiated
+    g = FAITHFUL_DIFFERENTIAL[name]() if name in FAITHFUL_DIFFERENTIAL else request.getfixturevalue(name)
+    universe = FamilyCollection(g).universe_all()
+    rng = random.Random(f"{name}:grids")
+    collections = [
+        satiate(FamilyCollection(g)),
+        satiate(FamilyCollection(g, [rng.choice(universe)])),
+        full_fe_collection(g),
+    ]
+    collections += [FamilyCollection(g, rng.sample(universe, k)) for k in (1, 3)]
+    compared = 0
+    for S in collections:
+        index = PathIndex()
+        for v in g.vertices:
+            if S.at(v):
+                continue
+            closed = list(repn._closed_grids(S, index, v))
+            assert len(set(closed)) == len(closed)
+            assert set(closed) == set(repn._walk_grids(S, index, v))
+            compared += len(closed)
+    assert compared
+
+
+def test_hypotheses_condition_c_matches_per_family_oracle(omega21, parallel_square):
+    # condition (C)'s ok from the maximal families outside S, against every
+    # family outside S; parallel_square fails it
+    cases = []
+    for g in (omega21, parallel_square, oracles.random_graphs(7, 6)[0]):
+        base = FamilyCollection(g)
+        rng = random.Random(len(g.vertices))
+        draws = [rng.choice(base.universe_all()) for _ in range(2)]
+        cases += [base] + [satiate(base.with_members([F])) for F in draws]
+    verdicts = set()
+    for S in cases:
+        want = oracles.per_family_condition_c(S).ok
+        assert condition_c(S, maximal=True).ok == want
+        T = boundary_rep(S.graph, S)
+        assert check_uniqueness_hypotheses(T, S).condition_c_ok == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # -- shift gaps -----------------------------------------------------------------------------

@@ -15,10 +15,12 @@ from kgraphck.errors import (
 from kgraphck.exhaustive import Status, is_exhaustive
 from kgraphck.graphio import parse_path
 from kgraphck.kgraph import Edge, SkeletonSpec, validate
+from kgraphck import satiation
 from kgraphck.satiation import (
     FamilyCollection,
     Membership,
     _check_family,
+    _graftings,
     _truncations,
     full_fe_collection,
     is_satiated,
@@ -542,3 +544,74 @@ def test_with_members_validates_new_families_and_resets_views(monkeypatch, omega
     assert len(D.sorted_members()) == 5 and len(C.sorted_members()) == 3
     with pytest.raises(ValueError, match="vertex path"):
         C.with_members([family(omega21, [omega21.vertex_path("0,0")])])
+
+
+# -- the maximal non-member without the universe ----------------------------------------
+
+
+def test_maximal_outside_matches_filter(differential):
+    # at a vertex without members maximal_outside reads the hit masks; the
+    # filter over outside(v) defines it for any collection, closed under S1
+    # or not, on exact, windowed and capped universes
+    read_off_masks = unclosed = 0
+    for C in differential:
+        for v in C.graph.vertices:
+            got = list(C.maximal_outside(v))
+            assert got == oracles.filtered_maximal_outside(C, v)
+            if not C.at(v) and got:
+                read_off_masks += 1
+                unclosed += C.members != sigma1(C).members
+    assert read_off_masks and unclosed
+
+
+def test_maximal_outside_past_the_subset_budget():
+    # listing omega(2,(3,2))'s 11 candidates at 0,0 exceeds a budget of 3;
+    # the one maximal non-member of the empty collection does not list them
+    g = omega(2, Degree(3, 2))
+    C = FamilyCollection(g, budget=3)
+    with pytest.raises(UniverseTooLarge, match="11 candidate paths exceed the subset budget 3"):
+        C.universe("0,0")
+    (F,) = C.maximal_outside("0,0")
+    assert F.sorted_members() == tuple(p for p in g.paths_up_to("0,0", g.max_degree) if not p.is_vertex())
+    assert C.maximal_outside("3,2") == ()  # a vertex with no path out of it
+
+
+# -- graftings within the window ------------------------------------------------------------
+
+
+def test_graftings_leave_out_pool_members_past_the_window(monkeypatch, g1):
+    # the same in-window graftings in the same order, and the same satiation
+    # and violations, as with every member in the pools
+    bases = [
+        FamilyCollection(g1, depth=Degree(1, 1)),
+        FamilyCollection(validate(oracles.random_single_vertex_spec(random.Random(2), 2)), depth=Degree(1, 1)),
+    ]
+    rng = random.Random(31)
+    dropped = 0
+    for base in bases:
+        universe = base.universe_all()
+        for _ in range(4):
+            C = satiate(base.with_members(rng.sample(universe, rng.randint(1, 2))))
+            for fam in C.sorted_members():
+                every = list(oracles.windowless_graftings(C, fam))
+                inside = [F for F in every if all(p.degree <= C.depth for p in F.members)]
+                assert list(_graftings(C, fam)) == inside
+                dropped += len(every) > len(inside)
+            D = base.with_members(rng.sample(universe, rng.randint(1, 2)))
+            want = satiate(D), is_satiated(D)
+            monkeypatch.setattr(satiation, "_graftings", oracles.windowless_graftings)
+            assert (satiate(D), is_satiated(D)) == want
+            monkeypatch.undo()
+    assert dropped
+
+
+def test_windowed_graftings_decide_within_the_budget():
+    # these two families once exhausted the grafting budget (200,000)
+    # after 20 s; in-window graftings decide in well under a second
+    g = validate(oracles.random_single_vertex_spec(random.Random(4), 2))
+    base = FamilyCollection(g, depth=Degree(1, 1))
+    tokens = (("c2e1", "c1e0", "c1e0.c2e0"), ("c2e1", "c1e0.c2e0", "c1e0.c2e1"))
+    C = base.with_members([family(g, [parse_path(g, t) for t in fam]) for fam in tokens])
+    S = satiate(C)
+    assert C.members < S.members
+    assert is_satiated(S) == oracles.four_loop_is_satiated(S) == (True, [])
