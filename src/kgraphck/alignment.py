@@ -254,9 +254,10 @@ class PathIndex:
         return grid & out
 
     def tail_paths(self, i: int, tails: int) -> tuple[Path, ...]:
-        """The nu of the lam.nu in a :meth:`tails` mask, lam path i, canonically ordered."""
+        """The nu of the lam.nu in a :meth:`tails` mask, lam path i, in index
+        order; a caller needing path order sorts them once."""
         d = self.paths[i].degree
-        return tuple(sorted((_split(self.paths[j], d)[1] for j in _bits(tails)), key=path_sort_key))
+        return tuple(_split(self.paths[j], d)[1] for j in _bits(tails))
 
     def close(self, base: int, new: Iterable[Path], budget: int = _CLOSURE_BUDGET) -> int:
         """The least closed superset of ``base | new``, for a closed ``base``.

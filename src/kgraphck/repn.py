@@ -24,9 +24,11 @@ family), the gap product is antitone in the family, so the CK check and
 members of S (:func:`member_gaps`), and the families outside S are decided
 at the maximal ones; otherwise every member and universe family is read.
 The family keeps its gap products, each extending the product over its
-sorted members but the last (:func:`gap_product`).  The faithfulness check
-examines each distinct grid once.  Every grid computation (pairs, tails,
-the row test and theta) runs on the grid queries of
+sorted members but the last (:func:`gap_product`).  Under the same
+hypothesis on an exact universe the faithfulness check's route (a) is read
+off the matrix-unit lemma from those gap verdicts, its one exception to
+route independence (:func:`faithful_on_core_check`); otherwise it examines
+each distinct grid once, on the grid queries of
 :class:`~kgraphck.alignment.PathIndex`.  At a vertex where S has no member
 no check lists the universe: the one maximal family outside S is read off
 the hit masks, and the grids are enumerated as closed sets; the universe is
@@ -109,6 +111,10 @@ class CKFamily:
         return all(
             isinstance(v, Fraction) for mat in self.ops.values() for v in mat.data.values()
         )
+
+    def exact_relations(self) -> bool:
+        """Whether TCK1-TCK3 hold exactly on rational entries."""
+        return self.is_rational() and all(r.ok for r in self.relation_checks())
 
     def op(self, lam: Path) -> SparseMatrix | PartialInjection:
         mat = self.ops.get(lam)
@@ -297,8 +303,7 @@ def member_gaps(T: CKFamily, S: FamilyCollection) -> tuple[float, PathFamily | N
     exactly on rational entries the gap products are projections, antitone
     in the family and largest on the diagonal, and a family follows its
     subfamilies, so the minimal members give the same answer."""
-    exact = T.is_rational() and all(r.ok for r in T.relation_checks())
-    members = [E for v in S.graph.vertices for E in S.minimal_at(v)] if exact else S
+    members = [E for v in S.graph.vertices for E in S.minimal_at(v)] if T.exact_relations() else S
     worst, bad = 0.0, None
     for E in members:
         d = gap_product(T, E.members, E.vertex).max_abs()
@@ -338,12 +343,12 @@ def boundary_rep(graph: KGraph, S: FamilyCollection, verify: bool = True) -> CKF
 
 
 def grid_tails(PiE: Sequence[Path], lam: Path) -> tuple[Path, ...]:
-    """The positive-degree nu with lam.nu in the grid set, for lam in it."""
-    return _pair_tails(PiE, lam, lam)
+    """The positive-degree nu with lam.nu in the grid set, lam in it, in path order."""
+    return tuple(sorted(_pair_tails(PiE, lam, lam), key=path_sort_key))
 
 
 def _pair_tails(PiE: Sequence[Path], lam: Path, mu: Path) -> tuple[Path, ...]:
-    """The grid tails of lam, for a pair (lam, mu) of the grid's pairs_ds."""
+    """The grid tails of lam in index order, for a pair (lam, mu) of the grid's pairs_ds."""
     index = PathIndex()
     grid = index.mask(PiE)
     i, j = index.bit(lam), index.bit(mu)
@@ -366,7 +371,7 @@ def formal_theta(PiE: Sequence[Path], lam: Path, mu: Path) -> FormalElement:
     """The same matrix unit expanded symbolically in the formal algebra."""
     sv = lam.graph.vertex_path(lam.source)
     word = FormalElement.generator(sv, sv)
-    for nu in _pair_tails(PiE, lam, mu):
+    for nu in sorted(_pair_tails(PiE, lam, mu), key=path_sort_key):
         gap = FormalElement.generator(sv, sv) - FormalElement.generator(nu, nu)
         word = formal_mul(word, gap)
     left = FormalElement.generator(lam, sv)
@@ -402,8 +407,9 @@ def matrix_unit_check(T: CKFamily, PiE: Sequence[Path]) -> MatrixUnitReport:
     tails, thetas = {}, {}
     for i, mus in index.pairs(grid):
         lam = paths[i]
-        tails[lam] = index.tail_paths(i, index.tails(i, grid))
-        row = _row_unit(T, lam, tails[lam])
+        nus = index.tail_paths(i, index.tails(i, grid))
+        row = _row_unit(T, lam, nus)
+        tails[lam] = tuple(sorted(nus, key=path_sort_key))  # the span sums in path order
         for j in mus:
             thetas[(lam, paths[j])] = row @ T.op(paths[j]).adjoint()
 
@@ -489,7 +495,7 @@ def gap_vanishing(T: CKFamily, S: FamilyCollection) -> GapVanishing:
     checked."""
     vertices = S.graph.vertices
     members_vanish = T.kept(S, member_gaps)[0] == 0.0
-    if S.exact and T.is_rational() and all(r.ok for r in T.relation_checks()):
+    if S.exact and T.exact_relations():
         if not any(_vanishes(T, F) for v in vertices for F in S.maximal_outside(v)):
             return GapVanishing(members_vanish, ())
     # only here is every vertex's universe listed, and an oversized one fails
@@ -612,17 +618,33 @@ def faithful_on_core_check(T: CKFamily, S: FamilyCollection) -> FaithfulnessVerd
 
     Route (a): every universally nonzero matrix unit is nonzero in T, over
     the grid of one window per family outside S (the family plus its range
-    vertex), which makes route (a) complete whenever route (b) fails;
-    disagreement therefore indicates a library bug.  Each distinct grid is
+    vertex), which makes route (a) fail whenever a gap product outside S
+    vanishes; disagreement there indicates a library bug.  Each distinct grid is
     examined once (:func:`_route_a`).  On an exact universe the vertices
     without members read no universe (:func:`_closed_grids`), and a vanished
     unit reruns the walk over the universe to name its first grid.  Route
     (b): every vertex operator is nonzero and every gap product over a
     universe family outside S is nonzero (see :func:`gap_vanishing`).
+
+    Route (a) is independent of route (b) but for one exception, the
+    matrix-unit lemma: when TCK1-TCK3 hold exactly on rational entries and
+    the universe is exact, theta(lam, mu) theta(lam, mu)* = t_lam Q t_lam*,
+    Q the gap product over lam's tails: t_s(lam), at least a nonzero
+    t_nu t_nu*, or at least the gap product of a maximal family outside S.
+    So with no zero vertex operator and no vanished gap product outside S
+    route (a) passes with no grid enumerated; a vanished one walks the
+    universe, already listed, to name the units, and a zero vertex
+    operator, which no grid need reach, enumerates as above.
     """
-    a_viol = _route_a(T, S, S.exact)
-    if a_viol and S.exact:
+    lemma = S.exact and T.exact_relations()
+    if lemma and T.kept(S, gap_vanishing).vanished_outside:
         a_viol = _route_a(T, S, False)
+    elif lemma and not T.zero_vertices():
+        a_viol = []
+    else:
+        a_viol = _route_a(T, S, S.exact)
+        if a_viol and S.exact:
+            a_viol = _route_a(T, S, False)
     b_viol = _route_b(T, T.kept(S, gap_vanishing))
     return FaithfulnessVerdict(not a_viol, not b_viol, a_viol, b_viol)
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import kgraphck
-from kgraphck import exhaustive, satiation
+from kgraphck import cli, exhaustive, repn, satiation
 from kgraphck.cli import main
 from kgraphck.degree import Degree
 from kgraphck.boundary import omega
@@ -736,6 +736,46 @@ def test_verify_without_members_lists_no_universe(tmp_path, capsys, monkeypatch)
     for extra in ([], ["--budget", "3"]):
         assert main(argv + extra) == 0
         assert capsys.readouterr() == want
+
+
+def test_verify_reads_route_a_off_the_matrix_unit_lemma(tmp_path, capsys, monkeypatch):
+    # the boundary representation satisfies TCK1-TCK3 exactly and no gap
+    # product outside S vanishes, so route (a) passes without a grid
+    path = tmp_path / "omega43.json"
+    path.write_text(emit_graph(omega(2, Degree(4, 3)).spec))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was enumerated")
+
+    monkeypatch.setattr(repn, "_walk_grids", refuse)
+    monkeypatch.setattr(repn, "_closed_grids", refuse)
+    assert main(["verify", str(path), "--json", "--seed", "0"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    faithful = next(r for r in results if r["name"] == "faithful-on-core")
+    assert faithful == {"name": "faithful-on-core", "route_a": True, "route_b": True, "status": "pass"}
+
+
+def test_condition_c_from_the_maximal_families(tmp_path, capsys, monkeypatch):
+    # omega(2,(4,3)) is decided by its maximal families alone (its universe
+    # exceeds the subset budget); where (C) fails the report lists every
+    # failing family, the same bytes as the search over every family
+    path = tmp_path / "omega43.json"
+    path.write_text(emit_graph(omega(2, Degree(4, 3)).spec))
+    assert main(["boundary", "condition-c", str(path), "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results[0] == {"name": "condition-c", "status": "pass"}
+    assert len(results) == 1 + 5 * 4 and all(r["name"].startswith("witness@") for r in results[1:])
+
+    graphs = os.path.join(os.path.dirname(__file__), "..", "graphs")
+    square = os.path.join(graphs, "parallel_square.json")
+    argv = ["boundary", "condition-c", square, "--json"]
+    assert main(argv) == 1
+    got = capsys.readouterr()
+    assert any(r["name"] == "failure" for r in json.loads(got.out)["results"])
+    every_family = cli.condition_c
+    monkeypatch.setattr(cli, "condition_c", lambda S, maximal=False: every_family(S))
+    assert main(argv) == 1
+    assert capsys.readouterr() == got
 
 
 def test_boundary_unknown_vertex_is_input_error(files, capsys):
