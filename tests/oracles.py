@@ -695,8 +695,11 @@ def per_window_faithful_on_core_check(
     unit is nonzero in T.  Route (b): every vertex operator is nonzero and
     every gap product over a universe family outside S is nonzero.  The
     supplied windows are augmented with one window per family outside S (the
-    family plus its range vertex), which makes route (a) complete whenever
-    route (b) fails; disagreement therefore indicates a library bug.
+    family plus its range vertex), which makes route (a) fail whenever a gap
+    product outside S vanishes.  A zero vertex operator is the exception: no
+    grid need reach its vertex, so at a vertex with no family outside S it
+    fails route (b) and may pass route (a), as t_z = 0 at an isolated vertex
+    z does.  Any other disagreement indicates a library bug.
     """
     g = T.graph
     windows = [tuple(w) for w in windows]
