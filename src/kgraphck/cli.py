@@ -419,7 +419,7 @@ def cmd_verify(args) -> int:
     verdict = faithful_on_core_check(T, S)
     report.add(
         "faithful-on-core",
-        verdict.faithful and verdict.routes_agree,
+        verdict.faithful,
         route_a=verdict.route_a_ok,
         route_b=verdict.route_b_ok,
     )

@@ -25,14 +25,13 @@ members of S (:func:`member_gaps`), and the families outside S are decided
 at the maximal ones; otherwise every member and universe family is read.
 The family keeps its gap products, each extending the product over its
 sorted members but the last (:func:`gap_product`).  Under the same
-hypothesis on an exact universe the faithfulness check's route (a) is read
-off the matrix-unit lemma from those gap verdicts, its one exception to
-route independence (:func:`faithful_on_core_check`); otherwise it examines
-each distinct grid once, on the grid queries of
-:class:`~kgraphck.alignment.PathIndex`.  At a vertex where S has no member
-no check lists the universe: the one maximal family outside S is read off
-the hit masks, and the grids are enumerated as closed sets; the universe is
-listed at vertices with members, or to name a failure.
+hypothesis on an exact universe, with no zero vertex operator, the
+faithfulness check's route (a) passes when those gap verdicts do (the
+matrix-unit lemma, :func:`faithful_on_core_check`); otherwise it walks the
+grid {v} of each vertex and the grid of each family outside S, each distinct
+grid once, on the grid queries of :class:`~kgraphck.alignment.PathIndex`.
+At a vertex where S has no member the gap checks list no universe: the one
+maximal family outside S is read off the hit masks.
 """
 
 from __future__ import annotations
@@ -530,49 +529,27 @@ def _route_b(T: CKFamily, gaps: GapVanishing) -> list[str]:
 
 
 def _walk_grids(S: FamilyCollection, index: PathIndex, v: str):
-    """The grid of each family outside S at v, in universe order: the closure
-    of the family and v, each extending the grid of the family minus its
-    last member (each extension of a grid by a path computed once)."""
-    closures: dict[tuple[int, int], int] = {}
+    """The grid {v}, then the grid of each family outside S at v in universe
+    order: the closure of v and the family, extending the grid of the family
+    minus its last member (each extension of a grid by a path computed once)."""
+    grid_v = index.close(0, (S.graph.vertex_path(v),))
+    yield grid_v
+    closures: dict[tuple[int, Path], int] = {}
     for F in S.outside(v):
-        grid = 0
-        for p in (S.graph.vertex_path(v),) + F.sorted_members():
-            key = (grid, index.bit(p))
-            if key not in closures:
-                closures[key] = index.close(grid, (p,))
-            grid = closures[key]
+        grid = grid_v
+        for p in F.sorted_members():
+            key = (grid, p)
+            nxt = closures.get(key)
+            if nxt is None:
+                nxt = closures[key] = index.close(grid, (p,))
+            grid = nxt
         yield grid
 
 
-def _closed_grids(S: FamilyCollection, index: PathIndex, v: str):
-    """The same grids, without the universe, where the exact S has no member
-    at v: the closed sets holding v whose other paths are exhaustive (each is
-    the grid of those paths, and a superset of an exhaustive family is one).
-
-    Close-by-One (Ganter's NextClosure, depth first) over the candidates in
-    window order: a closed set's children close it with one later candidate,
-    kept when they add no earlier one, so each closed set is reached once."""
-    candidates, masks = S.hit_masks(v)
-    bits = [index.bit(p) for p in candidates]
-    hits = [sum(1 << bits[j] for j in _bits(m)) for m in masks]
-    earlier = [sum(1 << b for b in bits[:i]) for i in range(len(bits))]
-    stack = [(index.close(0, (S.graph.vertex_path(v),)), 0)]
-    while stack:
-        closed, start = stack.pop()
-        if all(closed & h for h in hits):
-            yield closed
-        for i in range(start, len(bits)):
-            if not closed >> bits[i] & 1:
-                child = index.close(closed, (candidates[i],))
-                if child & earlier[i] == closed & earlier[i]:
-                    stack.append((child, i + 1))
-
-
-def _route_a(T: CKFamily, S: FamilyCollection, fast: bool) -> list[str]:
+def _route_a(T: CKFamily, S: FamilyCollection) -> list[str]:
     """Each universally nonzero matrix unit vanishing in T, named with the
     size of the first grid holding it, in order of that grid's first use
-    and then of lam and mu.  With ``fast`` the vertices without members take
-    :func:`_closed_grids`, whose order is not the universe's.
+    and then of lam and mu.
 
     A unit depends only on lam, mu and lam's tails mask in the grid, so each
     (lam, tails) row, its membership test and t_lam times its gap product
@@ -582,12 +559,11 @@ def _route_a(T: CKFamily, S: FamilyCollection, fast: bool) -> list[str]:
     index = PathIndex()
     # every vertex is listed before the exactness test, so a listing past
     # the budget fails first
-    if not fast and any([S.outside(v) for v in g.vertices]):
+    if any([S.outside(v) for v in g.vertices]):
         S.require_exact("the vanishing pattern")
     grids: dict[int, None] = {}  # distinct grids, in order of first use
     for v in g.vertices:
-        walk = not fast or S.at(v)
-        grids.update(dict.fromkeys(_walk_grids(S, index, v) if walk else _closed_grids(S, index, v)))
+        grids.update(dict.fromkeys(_walk_grids(S, index, v)))
     paths, matched = index.paths, index.matched
     rows: dict[tuple[int, int], SparseMatrix | PartialInjection | None] = {}
     read: dict[tuple[int, int], int] = {}  # (lam, tails) -> mask of the mus checked
@@ -617,14 +593,13 @@ def faithful_on_core_check(T: CKFamily, S: FamilyCollection) -> FaithfulnessVerd
     """Two routes to injectivity on the degree-fixed subalgebra.
 
     Route (a): every universally nonzero matrix unit is nonzero in T, over
-    the grid of one window per family outside S (the family plus its range
-    vertex), which makes route (a) fail whenever a gap product outside S
-    vanishes; disagreement there indicates a library bug.  Each distinct grid is
-    examined once (:func:`_route_a`).  On an exact universe the vertices
-    without members read no universe (:func:`_closed_grids`), and a vanished
-    unit reruns the walk over the universe to name its first grid.  Route
-    (b): every vertex operator is nonzero and every gap product over a
-    universe family outside S is nonzero (see :func:`gap_vanishing`).
+    the grid {v} of each vertex, whose unit theta(v,v) = t_v fails on a zero
+    vertex operator, and the grid of each family outside S (the family plus
+    its range vertex), which fail whenever a gap product outside S vanishes;
+    disagreement there indicates a library bug.  Each distinct grid is
+    examined once (:func:`_route_a`).  Route (b): every vertex operator is
+    nonzero and every gap product over a universe family outside S is
+    nonzero (see :func:`gap_vanishing`).
 
     Route (a) is independent of route (b) but for one exception, the
     matrix-unit lemma: when TCK1-TCK3 hold exactly on rational entries and
@@ -632,19 +607,11 @@ def faithful_on_core_check(T: CKFamily, S: FamilyCollection) -> FaithfulnessVerd
     Q the gap product over lam's tails: t_s(lam), at least a nonzero
     t_nu t_nu*, or at least the gap product of a maximal family outside S.
     So with no zero vertex operator and no vanished gap product outside S
-    route (a) passes with no grid enumerated; a vanished one walks the
-    universe, already listed, to name the units, and a zero vertex
-    operator, which no grid need reach, enumerates as above.
+    route (a) passes with no grid enumerated; otherwise the grids are
+    walked to name the units.
     """
-    lemma = S.exact and T.exact_relations()
-    if lemma and T.kept(S, gap_vanishing).vanished_outside:
-        a_viol = _route_a(T, S, False)
-    elif lemma and not T.zero_vertices():
-        a_viol = []
-    else:
-        a_viol = _route_a(T, S, S.exact)
-        if a_viol and S.exact:
-            a_viol = _route_a(T, S, False)
+    lemma = S.exact and T.exact_relations() and not T.zero_vertices()
+    a_viol = [] if lemma and not T.kept(S, gap_vanishing).vanished_outside else _route_a(T, S)
     b_viol = _route_b(T, T.kept(S, gap_vanishing))
     return FaithfulnessVerdict(not a_viol, not b_viol, a_viol, b_viol)
 

@@ -114,7 +114,6 @@ class FamilyCollection:
         )
         self._universe: dict[str, tuple[PathFamily, ...]] = {}
         self._universe_sets: dict[str, frozenset] = {}
-        self._hits: dict[str, tuple] = {}
         self._views: dict = {}  # derived from the members, built on first use
         self.facts = PathFacts()
         members = tuple(members)
@@ -152,15 +151,6 @@ class FamilyCollection:
     def universe_set(self, v: str) -> frozenset:
         self.universe(v)
         return self._universe_sets[v]
-
-    def hit_masks(self, v: str) -> tuple[list[Path], set[int] | None]:
-        """The non-vertex window paths at v, and the masks over them that a
-        universe family's mask meets (None if nothing is proved exhaustive);
-        kept with the universe, whatever its size."""
-        if v not in self._hits:
-            candidates = _candidates(self.graph, v, self.depth)
-            self._hits[v] = (candidates, _hit_masks(self.graph, v, self.depth, candidates))
-        return self._hits[v]
 
     def in_window(self, fam: PathFamily) -> bool:
         if self.max_family_size is not None and len(fam.members) > self.max_family_size:
@@ -229,11 +219,13 @@ class FamilyCollection:
         window path p not in F: on an exact universe, for a collection closed
         under supersets (S1), the maximal families outside it.  With no
         member at v that is the family of every candidate, if it is in the
-        universe, read off :meth:`hit_masks` without listing the universe."""
+        universe, read off the masks that a universe family's mask meets
+        (:func:`~kgraphck.exhaustive._hit_masks`) without listing the universe."""
 
         def build():
             if not self.at(v):
-                candidates, masks = self.hit_masks(v)
+                candidates = _candidates(self.graph, v, self.depth)
+                masks = _hit_masks(self.graph, v, self.depth, candidates)
                 cap = self.max_family_size
                 fits = candidates and (cap is None or len(candidates) <= cap)
                 if fits and masks is not None and 0 not in masks:

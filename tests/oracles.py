@@ -694,18 +694,19 @@ def per_window_faithful_on_core_check(
     Route (a): over each window's grid, every universally nonzero matrix
     unit is nonzero in T.  Route (b): every vertex operator is nonzero and
     every gap product over a universe family outside S is nonzero.  The
-    supplied windows are augmented with one window per family outside S (the
-    family plus its range vertex), which makes route (a) fail whenever a gap
-    product outside S vanishes.  A zero vertex operator is the exception: no
-    grid need reach its vertex, so at a vertex with no family outside S it
-    fails route (b) and may pass route (a), as t_z = 0 at an isolated vertex
-    z does.  Any other disagreement indicates a library bug.
+    supplied windows are augmented, vertex by vertex, with the window {v},
+    whose unit theta(v,v) = t_v makes route (a) fail on a zero vertex
+    operator, and then one window per family outside S at v (the family
+    plus v), which makes route (a) fail whenever a gap product outside S
+    vanishes.  Any disagreement indicates a library bug.
     """
     g = T.graph
     windows = [tuple(w) for w in windows]
-    for F in S.universe_all():
-        if F not in S.members:
-            windows.append((g.vertex_path(F.vertex),) + F.sorted_members())
+    for v in g.vertices:
+        windows.append((g.vertex_path(v),))
+        for F in S.universe(v):
+            if F not in S.members:
+                windows.append((g.vertex_path(v),) + F.sorted_members())
 
     a_viol: list[str] = []
     for window in windows:

@@ -748,11 +748,30 @@ def test_verify_reads_route_a_off_the_matrix_unit_lemma(tmp_path, capsys, monkey
         raise AssertionError("a grid was enumerated")
 
     monkeypatch.setattr(repn, "_walk_grids", refuse)
-    monkeypatch.setattr(repn, "_closed_grids", refuse)
     assert main(["verify", str(path), "--json", "--seed", "0"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     faithful = next(r for r in results if r["name"] == "faithful-on-core")
     assert faithful == {"name": "faithful-on-core", "route_a": True, "route_b": True, "status": "pass"}
+
+
+def test_verify_fails_route_a_on_a_zero_vertex_operator(tmp_path, capsys):
+    # t_z = 0 at an isolated vertex z, where no family lies outside S: the
+    # grid {z} holds the unit theta(z,z) = t_z, so route (a) fails with
+    # route (b)
+    with open(os.path.join(os.path.dirname(__file__), "..", "graphs", "omega_2_11.json")) as fh:
+        doc = json.load(fh)
+    doc["vertices"].append("z")
+    graph, bundle = tmp_path / "graph.json", tmp_path / "bundle.json"
+    graph.write_text(json.dumps(doc))
+    assert main(["represent", str(graph), "--out", str(bundle)]) == 0
+    rep = json.loads(bundle.read_text())
+    rep["operators"]["z"] = []
+    bundle.write_text(json.dumps(rep))
+    capsys.readouterr()
+    assert main(["verify", str(graph), "--bundle", str(bundle), "--json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    faithful = next(r for r in results if r["name"] == "faithful-on-core")
+    assert faithful == {"name": "faithful-on-core", "route_a": False, "route_b": False, "status": "fail"}
 
 
 def test_condition_c_from_the_maximal_families(tmp_path, capsys, monkeypatch):

@@ -5,10 +5,11 @@ When TCK1-TCK3 hold exactly on rational entries and the universe is exact,
 it passes when no vertex operator is zero and no gap product outside the
 collection vanishes.  That is the one place where route (a) is not computed
 independently of route (b), so these tests keep the independence: on every
-case they compare the verdict with ``_route_a`` over the closed grids and
-over the universe walk, and with ``oracles.per_window_faithful_on_core_check``
-where the universe is small.  The corpus has passing and failing cases under
-the lemma's hypothesis, and tampered bundles outside it.
+case they compare the verdict with ``_route_a``'s walk over the grid {v} of
+each vertex and the grids of the families outside the collection, and with
+``oracles.per_window_faithful_on_core_check`` where the universe is small.
+The corpus has passing and failing cases under the lemma's hypothesis, and
+tampered bundles outside it.
 """
 
 import json
@@ -71,32 +72,29 @@ def _collections(g, name):
 
 def _compare(T, S, oracle):
     """Assert the verdict equals the enumerating route's; return the lemma's
-    verdict on route (a), or None where route (a) is enumerated: outside the
-    hypothesis, or with a zero vertex operator, which fails route (a) only
-    where a grid reaches its vertex (not with no family outside S)."""
+    verdict on route (a), no zero vertex operator and no vanished gap
+    product outside S, or None outside the hypothesis."""
     verdict = faithful_on_core_check(T, S)
-    walk = repn._route_a(T, S, False)
+    walk = repn._route_a(T, S)
     assert verdict.route_a_violations == walk
     assert verdict.route_a_ok == (not walk)
-    if S.exact:
-        assert (not repn._route_a(T, S, True)) == (not walk)
     if oracle:
         want = oracles.per_window_faithful_on_core_check(T, S)
         assert (verdict.route_a_ok, verdict.route_b_violations) == (
             want.route_a_ok,
             want.route_b_violations,
         )
-    if not (S.exact and T.exact_relations()) or T.zero_vertices():
+    if not (S.exact and T.exact_relations()):
         return None
-    return not T.kept(S, repn.gap_vanishing).vanished_outside
+    return not T.zero_vertices() and not T.kept(S, repn.gap_vanishing).vanished_outside
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_lemma_matches_enumerating_route(name):
     # each chain member's boundary representation against every collection
     # of the chain (a larger collection's representation against a smaller
-    # one fails), the zero family, and tampered bundles; the last two are
-    # enumerated
+    # one fails), the zero family, and tampered bundles, which lie outside
+    # the hypothesis
     g = CORPUS[name]()
     chain = _collections(g, name)
     oracle = len(FamilyCollection(g).universe_all()) <= ORACLE_UNIVERSE
@@ -136,26 +134,24 @@ def _zeroed(T, paths):
 
 
 def test_zero_vertex_takes_the_enumerating_route():
-    # a zero vertex operator with TCK1-TCK3 exact: where a grid reaches the
-    # vertex route (a) fails with the lemma; at an isolated vertex no grid
-    # does, route (a) passes while route (b) fails, and the verdict is the
-    # enumerating route's
+    # a zero vertex operator with TCK1-TCK3 exact fails route (a) as the
+    # lemma predicts, also at a vertex with no family outside S: the grid
+    # {v} holds the unit theta(v,v) = t_v
     g = _single_edge_graph()
     S = satiate(FamilyCollection(g))
     assert S.outside("v") == () and S.outside("u")
     T = _zeroed(boundary_rep(g, S), [g.vertex_path("v"), g.edge_path("e")])
     assert T.exact_relations() and T.zero_vertices() == ("v",)
-    assert _compare(T, S, oracle=True) is None
-    assert not faithful_on_core_check(T, S).route_a_ok
+    assert _compare(T, S, oracle=True) is False
 
     g = _with_isolated_vertex()
     S = satiate(FamilyCollection(g))
     assert S.outside("z") == ()
     T = _zeroed(boundary_rep(g, S), [g.vertex_path("z")])
     assert T.exact_relations() and T.zero_vertices() == ("z",)
-    assert _compare(T, S, oracle=True) is None
+    assert _compare(T, S, oracle=True) is False
     verdict = faithful_on_core_check(T, S)
-    assert verdict.route_a_ok and not verdict.route_b_ok
+    assert verdict.route_a_violations == ["theta(z,z) vanished in grid of size 1"]
     assert verdict.route_b_violations == ["vertex operator z is zero"]
 
 

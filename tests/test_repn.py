@@ -14,7 +14,7 @@ from kgraphck.errors import (
     PairNotInGrid,
 )
 from kgraphck.kgraph import compose
-from kgraphck.alignment import PathIndex, family, pairs_ds, pi_closure
+from kgraphck.alignment import family, pairs_ds, pi_closure
 from kgraphck.satiation import (
     FamilyCollection,
     Membership,
@@ -635,33 +635,6 @@ def test_faithful_matches_per_window_oracle(request, monkeypatch, name):
         assert hyp.all_ok == all(oracles.separate_uniqueness_hypotheses(T, S))
         failing += not new.faithful
     assert failing >= 3
-
-
-@pytest.mark.parametrize("name", ["omega11", "omega21", *FAITHFUL_DIFFERENTIAL])
-def test_closed_grids_match_universe_walk(request, name):
-    # at each vertex without members, Close-by-One reaches each grid of the
-    # per-family walk once and no other set, on the satiated chain and on
-    # drawn generators that are not satiated
-    g = FAITHFUL_DIFFERENTIAL[name]() if name in FAITHFUL_DIFFERENTIAL else request.getfixturevalue(name)
-    universe = FamilyCollection(g).universe_all()
-    rng = random.Random(f"{name}:grids")
-    collections = [
-        satiate(FamilyCollection(g)),
-        satiate(FamilyCollection(g, [rng.choice(universe)])),
-        full_fe_collection(g),
-    ]
-    collections += [FamilyCollection(g, rng.sample(universe, k)) for k in (1, 3)]
-    compared = 0
-    for S in collections:
-        index = PathIndex()
-        for v in g.vertices:
-            if S.at(v):
-                continue
-            closed = list(repn._closed_grids(S, index, v))
-            assert len(set(closed)) == len(closed)
-            assert set(closed) == set(repn._walk_grids(S, index, v))
-            compared += len(closed)
-    assert compared
 
 
 def test_hypotheses_condition_c_matches_per_family_oracle(omega21, parallel_square):
