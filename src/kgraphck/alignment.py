@@ -133,6 +133,14 @@ def lambda_min(mu: Path, nu: Path) -> tuple[MinPair, ...]:
     return tuple(out)
 
 
+def min_tails(mu: Path, nu: Path) -> tuple[Path, ...]:
+    """Ext(mu; {nu}), the alpha of lambda_min(mu, nu) in path order; kept by the graph."""
+    hit = mu.graph._ext_cache.get((mu, nu))
+    if hit is None:
+        hit = mu.graph._ext_cache[(mu, nu)] = ext(mu, (nu,))
+    return hit
+
+
 def ext(mu: Path, members: Iterable[Path] | PathFamily) -> tuple[Path, ...]:
     """Ext(mu; E): tails alpha at s(mu) with mu.alpha refining some member.
 

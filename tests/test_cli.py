@@ -350,6 +350,17 @@ def test_verify_float_backend(files, capsys):
     capsys.readouterr()
 
 
+def test_verify_float_backend_lists_no_universe(tmp_path, capsys):
+    # listing the universe at 0,0 of omega(2,(4,3)) exceeds the subset budget
+    # (exit 3); the float backend keeps the boundary representation's partial
+    # injections, so it reads the antichain edges as the exact backend does
+    graph = tmp_path / "omega43.json"
+    graph.write_text(emit_graph(omega(2, Degree(4, 3)).spec))
+    assert main(["verify", str(graph), "--backend", "float", "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results and all(r["status"] == "pass" for r in results)
+
+
 NUMPY_CHILD = """
 import contextlib, io, json, sys
 from kgraphck.cli import main

@@ -87,7 +87,7 @@ def _same_as_dense(monkeypatch, T, zs):
 def test_gauge_check_matches_every_svd(monkeypatch, name):
     g, T = _representation(name)
     zs = gauge_grid(g)
-    for family in (T, T.to_complex()) if name == "omega21" else (T,):
+    for family in (T, oracles.complex_family(T)) if name == "omega21" else (T,):
         got, svds = _svd_count(monkeypatch, family, zs)
         assert got == oracles.every_svd_gauge_unitary_check(family, zs)
         assert svds < len(zs) * len(g.all_paths())
@@ -102,7 +102,7 @@ def test_gauge_check_matches_dense_check(monkeypatch, name):
     g, T = _representation(name)
     zs = gauge_grid(g)
     assert all(isinstance(mat, PartialInjection) for mat in T.ops.values())
-    for family in (T, T.to_complex()):
+    for family in (T, oracles.complex_family(T)):
         _same_as_dense(monkeypatch, family, zs)
 
 
@@ -114,7 +114,7 @@ def test_gauge_check_matches_every_svd_on_tampered_bundles(monkeypatch, name, ki
     partial = all(isinstance(mat, PartialInjection) for mat in bad.ops.values())
     assert partial == (kind not in ("half", "two-to-one", "skew", "tiny"))
     zs = gauge_grid(g)
-    for family in (bad, bad.to_complex()):
+    for family in (bad, oracles.complex_family(bad)):
         got = _same_as_dense(monkeypatch, family, zs)
         assert got == oracles.every_svd_gauge_unitary_check(family, zs)
     if kind == "skew":
@@ -157,7 +157,7 @@ def test_sampled_average_matches_product_loop(name):
     zs = gauge_grid(g)
     twisted = _twisted(T, [cmath.exp(1j * (c + 1)) for c in range(g.rank)])
     rng = random.Random(name)
-    for family, real in ((T, True), (T.to_complex(), True), (twisted, False)):
+    for family, real in ((T, True), (oracles.complex_family(T), True), (twisted, False)):
         drawn = [_random_element(rng, g.all_paths(), 4, 2) for _ in range(4)]
         for a in drawn:
             got = sampled_gauge_average(family, a, zs)
@@ -184,7 +184,7 @@ def test_gauge_unitaries_built_once_per_grid_point(monkeypatch, name):
     rng = random.Random(name)
     drawn = [_random_element(rng, g.all_paths(), 4, 2) for _ in range(5)]
     z_powers = repn._z_powers
-    for family in (T, T.to_complex(), twisted):
+    for family in (T, oracles.complex_family(T), twisted):
         with monkeypatch.context() as m:
             m.setattr(repn, "gauge_unitary", _rebuilt_unitary)
             want_check = gauge_unitary_check(family, zs)

@@ -116,5 +116,5 @@ def test_pattern_theta_and_matrix_units_match_scan():
             if (i + j) % 3 == 0:
                 got = matrix_unit_check(T, PiE)
                 assert got == oracles.scan_matrix_unit_check(T, PiE), (name, window)
-                F = T.to_complex()
+                F = oracles.complex_family(T)
                 assert matrix_unit_check(F, PiE) == oracles.scan_matrix_unit_check(F, PiE)

@@ -1,12 +1,14 @@
-"""The path facts that S2, S3 and condition (C) read, against ``segment``.
+"""The path tables that S2, S3, boundary membership and condition (C) read.
 
-``FamilyCollection.facts`` keeps each path's initial segments and each
-Ext(mu; {nu}), built on first use and shared by every collection derived
-from one.  S2's and S3's images from the table must be the images that
-``has_prefix_in``, ``ext_family`` and ``oracles.segment_truncations`` give,
-in the same order, on exact, windowed and size-capped universes; so must
-``satiate``'s fixpoint, and ``is_satiated`` must give the four-loop oracle's
-verdict with violations the oracle lists.
+The graph keeps each path's initial segments (``kgraph.prefixes``) and each
+Ext(mu; {nu}) (``alignment.min_tails``), built on first use.  The tables
+must hold what ``segment`` and a fresh Ext give, on every graph file, a
+random batch and a windowed cyclic graph.  S2's and S3's images from the
+tables must be the images that ``has_prefix_in``, ``ext_family`` and
+``oracles.segment_truncations`` give, in the same order, on exact, windowed
+and size-capped universes; so must ``satiate``'s fixpoint, and
+``is_satiated`` must give the four-loop oracle's verdict with violations
+the oracle lists.
 """
 
 import os
@@ -14,10 +16,11 @@ import random
 
 import pytest
 
+from kgraphck.alignment import min_tails
 from kgraphck.boundary import condition_c
 from kgraphck.degree import Degree
 from kgraphck.graphio import parse_graph
-from kgraphck.kgraph import validate
+from kgraphck.kgraph import path_sort_key, prefixes, segment, validate
 from kgraphck.satiation import (
     FamilyCollection,
     _extension_images,
@@ -90,16 +93,53 @@ def test_satiation_matches_segment_oracles(label):
         assert assert_reports_missing_images(got)
 
 
-def test_construction_computes_no_fact_and_derived_collections_share_them():
+def _table_graphs():
+    """(label, graph, its paths): every graph file, the batch random_graphs(7, 6)
+    and a single-vertex cyclic graph, the cyclic ones in a depth window."""
+    graphs = [(name, _graph_file(name)) for name in sorted(os.listdir(GRAPH_DIR))]
+    graphs += [(f"b7.{i}", g) for i, g in enumerate(oracles.random_graphs(7, 6))]
+    graphs.append(("sv2-s2", validate(oracles.random_single_vertex_spec(random.Random(2), 2))))
+    for label, g in graphs:
+        if g.is_acyclic:
+            yield label, g, g.all_paths()
+        else:
+            window = Degree(2, *[1] * (g.rank - 1))
+            yield label, g, tuple(p for v in g.vertices for p in g.paths_up_to(v, window))
+
+
+TABLE_GRAPHS = {label: (g, paths) for label, g, paths in _table_graphs()}
+
+
+@pytest.mark.parametrize("label", list(TABLE_GRAPHS))
+def test_tables_match_segment_and_fresh_ext(label):
+    g, paths = TABLE_GRAPHS[label]
+    zero = Degree.zero(g.rank)
+    for p in paths:
+        cuts = tuple(segment(p, zero, n) for n in p.degree.below())
+        assert prefixes(p) == (cuts, frozenset(cuts))
+        assert prefixes(p) is prefixes(p)
+    for mu in paths:
+        for nu in paths:
+            if mu.range == nu.range:
+                fresh = tuple(sorted(oracles.brute_ext(mu, [nu]), key=path_sort_key))
+                assert min_tails(mu, nu) == fresh
+                assert min_tails(mu, nu) is min_tails(mu, nu)
+
+
+def test_validation_and_listing_leave_the_tables_empty_and_satiate_fills_them():
     g = _graph_file("omega_2_21.json")
     C = FamilyCollection(g, FamilyCollection(g).universe("0,0")[:2])
     C.universe_all()
-    assert (C.facts._segments, C.facts._exts) == ({}, {})
+    assert (g._prefix_cache, g._ext_cache) == ({}, {})
     S = satiate(C)
-    assert S.facts is C.facts and C.with_members(()).facts is C.facts
-    assert C.facts._segments and C.facts._exts
-    # condition (C) reads the same table, and its prefix sets are the
-    # initial segments by segment
-    report = condition_c(S)
-    assert report == oracles.per_family_condition_c(S)
-    assert FamilyCollection(g).facts is not C.facts
+    assert g._prefix_cache and g._ext_cache
+    kept = dict(g._prefix_cache), dict(g._ext_cache)
+    # a second collection on the same graph reads the same entries, and
+    # builds none
+    again = satiate(FamilyCollection(g, C.members))
+    assert again.members == S.members
+    for table, before in zip((g._prefix_cache, g._ext_cache), kept):
+        assert table.keys() == before.keys()
+        assert all(table[key] is entry for key, entry in before.items())
+    # condition (C) reads the prefix sets
+    assert condition_c(S) == oracles.per_family_condition_c(S)

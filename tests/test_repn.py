@@ -376,7 +376,7 @@ def _gap_families(g, chain):
     lam = max(ops, key=lambda p: p.sort_key())
     ops[lam] = ops[lam] * Fraction(2)  # no longer a partial isometry
     tampered = CKFamily(g, reps[0].dim, ops, basis=reps[0].basis)
-    return reps + [tampered, reps[0].to_complex(), reps[-1].to_complex(), zero_family(g)]
+    return reps + [tampered, oracles.complex_family(reps[0]), oracles.complex_family(reps[-1]), zero_family(g)]
 
 
 @pytest.mark.parametrize("name", ["omega11", "omega21", "omega22", "b7.0", "b7.3"])
